@@ -325,112 +325,3 @@ def test_e8_scalability(benchmark, results_writer, bench_json_writer):
     assert largest["channels"] == 21  # 20 sensor strands + merge->app
     assert largest["derive_ms"] < 2000.0
     assert largest["throughput"] > 5_000
-
-
-# --------------------------------------------------------------------------
-# E14 -- plan compilation on deep linear chains (DESIGN.md section 12).
-
-
-def build_deep_chain(depth):
-    """src -> s0 -> ... -> s{depth-1} -> app, all stages identity."""
-    graph = ProcessingGraph()
-    source = SourceComponent("src", ("x",))
-    sink = ApplicationSink("app", ("x",), keep_last=8)
-    graph.add(source)
-    graph.add(sink)
-    previous = "src"
-    for i in range(depth):
-        stage = FunctionComponent(f"s{i}", ("x",), ("x",), fn=lambda d: d)
-        graph.add(stage)
-        graph.connect(previous, stage.name)
-        previous = stage.name
-    graph.connect(previous, "app")
-    return graph, source
-
-
-#: Chain depths for E14; the middle entry is what the CI gate keys on.
-COMPILE_DEPTHS = [8, 32, 128]
-COMPILE_BATCH = 32
-#: Absolute floor the gated depth must clear (ISSUE acceptance: >=2x at
-#: depth >= 32), re-checked by ``check_regression.py`` on the artefact.
-COMPILE_SPEEDUP_FLOOR = 2.0
-COMPILE_GATED = "depth32"
-
-
-def test_e14_compile_sweep(benchmark, results_writer, bench_json_writer):
-    """Compiled (fused chains) vs interpreted dispatch on deep chains."""
-    import time
-
-    def measure_once(depth, compiled, n_batches=40):
-        graph, source = build_deep_chain(depth)
-        graph.set_compilation(compiled)
-        batches = [
-            [
-                Datum("x", b * COMPILE_BATCH + i, float(i))
-                for i in range(COMPILE_BATCH)
-            ]
-            for b in range(n_batches)
-        ]
-        source.inject_batch(batches[0])  # warm-up: compile + memoise
-        start = time.perf_counter()
-        for batch in batches:
-            source.inject_batch(batch)
-        elapsed = time.perf_counter() - start
-        return (n_batches * COMPILE_BATCH) / elapsed
-
-    def workload(rounds=9):
-        # Interleaved best-of-N, same discipline as E8: compiled and
-        # interpreted alternate per round so drift hits both equally.
-        sweep = {}
-        for depth in COMPILE_DEPTHS:
-            compiled = interpreted = 0.0
-            for _ in range(rounds):
-                compiled = max(compiled, measure_once(depth, True))
-                interpreted = max(interpreted, measure_once(depth, False))
-            sweep[f"depth{depth}"] = {
-                "compiled": round(compiled, 1),
-                "interpreted": round(interpreted, 1),
-                "speedup": round(compiled / interpreted, 3),
-            }
-        return sweep
-
-    sweep = benchmark.pedantic(workload, rounds=1, iterations=1)
-
-    lines = [
-        "Plan compilation: deep identity chains, compiled vs interpreted"
-        f" (batches of {COMPILE_BATCH} datums)",
-        "",
-        f"{'depth':<10} {'compiled/s':>12} {'interpreted/s':>14}"
-        f" {'speedup':>8}",
-    ]
-    for depth in COMPILE_DEPTHS:
-        row = sweep[f"depth{depth}"]
-        lines.append(
-            f"{depth:<10} {row['compiled']:>12.0f}"
-            f" {row['interpreted']:>14.0f} {row['speedup']:>7.2f}x"
-        )
-    lines += [
-        "",
-        f"gate: {COMPILE_GATED} speedup must hold"
-        f" >= {COMPILE_SPEEDUP_FLOOR}x (checked again in CI)",
-    ]
-    results_writer("E14_compile_sweep", "\n".join(lines))
-    bench_json_writer(
-        "compile",
-        {
-            "batch": COMPILE_BATCH,
-            "depths": sweep,
-            "speedup_floor": COMPILE_SPEEDUP_FLOOR,
-            "gated_workload": COMPILE_GATED,
-        },
-        filename="BENCH_compile.json",
-    )
-
-    # Shape: fusion must pay at the ISSUE's floor on the gated depth and
-    # keep paying (not regress to parity) as the chain deepens.
-    gated = sweep[COMPILE_GATED]
-    assert gated["speedup"] >= COMPILE_SPEEDUP_FLOOR, (
-        f"depth-32 compiled speedup {gated['speedup']:.2f}x below"
-        f" {COMPILE_SPEEDUP_FLOOR}x floor"
-    )
-    assert sweep["depth128"]["speedup"] >= sweep["depth8"]["speedup"] * 0.9

@@ -37,14 +37,6 @@ sections:
     the current artefact's recorded ``cpu_count`` is below it -- the
     relative ratio gate still applies everywhere.
 
-``compile`` (``BENCH_compile.json``, written by
-``bench_overhead_ablation.py``)
-    Per chain depth, the compiled/interpreted *speedup measured within
-    one run* (runner-independent, like ``scale``).  The gate requires
-    the current speedup to hold at least ``--min-ratio`` of the
-    baseline's per depth, and re-checks the artefact's own absolute
-    floor (``speedup_floor``, 2x on the gated ``depth32`` entry).
-
 ``gateway`` (``BENCH_gateway.json``, written by ``bench_gateway.py``)
     The clean-traffic figure is the gateway-over-direct *overhead
     factor measured within one run* (smaller is better): the gate
@@ -269,57 +261,6 @@ def check_scale(
         elif float(row["speedup"]) < floor:
             failures.append(
                 f"scale {gated}: absolute speedup"
-                f" {float(row['speedup']):.2f}x below the artefact's own"
-                f" floor {floor}x"
-            )
-
-    return failures
-
-
-def check_compile(
-    baseline: dict, current: dict, min_ratio: float, rows: list
-) -> list:
-    failures = []
-    base_compile = baseline["compile"]
-    cur_compile = current["compile"]
-
-    for key, base_row in base_compile.get("depths", {}).items():
-        cur_row = cur_compile.get("depths", {}).get(key)
-        if cur_row is None:
-            failures.append(f"compile depth {key} missing from current")
-            continue
-        base_speedup = float(base_row["speedup"])
-        cur_speedup = float(cur_row["speedup"])
-        # Speedups are within-run figures; compare them directly.
-        ratio = cur_speedup / base_speedup if base_speedup else 1.0
-        status = "ok" if ratio >= min_ratio else "REGRESSION"
-        emit(
-            rows,
-            f"compile {key}: fused speedup {cur_speedup:.2f}x"
-            f" (baseline {base_speedup:.2f}x,"
-            f" ratio {ratio:.3f}, min {min_ratio}) [{status}]",
-            artefact="compile",
-            metric=key,
-            figure=f"{cur_speedup:.2f}x",
-            baseline=f"{base_speedup:.2f}x",
-            ratio=ratio,
-            floor=min_ratio,
-            status=status,
-        )
-        if ratio < min_ratio:
-            failures.append(
-                f"compile {key}: speedup ratio {ratio:.3f} < {min_ratio}"
-            )
-
-    gated = cur_compile.get("gated_workload")
-    floor = float(cur_compile.get("speedup_floor", 0.0))
-    if gated:
-        row = cur_compile.get("depths", {}).get(gated)
-        if row is None:
-            failures.append(f"gated depth {gated} missing from current")
-        elif float(row["speedup"]) < floor:
-            failures.append(
-                f"compile {gated}: absolute speedup"
                 f" {float(row['speedup']):.2f}x below the artefact's own"
                 f" floor {floor}x"
             )
@@ -631,8 +572,6 @@ def check(
         return check_durability(baseline, current, min_ratio, rows)
     if "gateway" in current or "gateway" in baseline:
         return check_gateway(baseline, current, min_ratio, rows)
-    if "compile" in current or "compile" in baseline:
-        return check_compile(baseline, current, min_ratio, rows)
     if "shard" in current or "shard" in baseline:
         return check_shard(baseline, current, min_ratio, rows)
     if "scale" in current or "scale" in baseline:
@@ -640,9 +579,8 @@ def check(
     if "configs" in current or "configs" in baseline:
         return check_dispatch(baseline, current, min_ratio, rows)
     return [
-        "unrecognised artefact schema: expected a 'city', 'compile',"
-        " 'configs', 'durability', 'gateway', 'scale' or 'shard'"
-        " top-level section"
+        "unrecognised artefact schema: expected a 'city', 'configs',"
+        " 'durability', 'gateway', 'scale' or 'shard' top-level section"
     ]
 
 

@@ -24,7 +24,6 @@ from repro.core.config import (
     load_configuration,
 )
 from repro.core.history import TrackHistoryService, TrackPoint
-from repro.core.compile import CompiledPlan, FusedChain, compile_plan
 from repro.core.component import (
     ApplicationSink,
     ComponentError,
@@ -96,9 +95,6 @@ __all__ = [
     "GraphObserver",
     "GraphError",
     "Connection",
-    "CompiledPlan",
-    "FusedChain",
-    "compile_plan",
     "DataTree",
     "DataTreeElement",
     "Channel",

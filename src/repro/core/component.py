@@ -208,8 +208,6 @@ class ProcessingComponent(abc.ABC):
             if k not in self.output_port.capabilities
         )
         self.output_port = OutputPort(self.output_port.capabilities + extra)
-        if self._observer is not None:
-            self._observer.component_reconfigured(self)
 
     def detach_feature(self, name: str) -> ComponentFeature:
         """Remove a feature by name, restoring base capabilities."""
@@ -218,8 +216,6 @@ class ProcessingComponent(abc.ABC):
                 feature._detach()
                 self._features.remove(feature)
                 self._recompute_capabilities()
-                if self._observer is not None:
-                    self._observer.component_reconfigured(self)
                 return feature
         raise FeatureError(f"component {self.name} has no feature {name!r}")
 
@@ -383,22 +379,6 @@ class ProcessingComponent(abc.ABC):
         if out:
             deliver_batch(out)
 
-    def fused_fn(
-        self,
-    ) -> Optional[Callable[[Datum], Union[None, Datum, Iterable[Datum]]]]:
-        """The component's flat per-datum step, or ``None``.
-
-        The opt-in seam of plan compilation
-        (:mod:`repro.core.compile`): a component returning a plain
-        ``datum -> None | Datum | iterable`` callable here declares that
-        calling it is equivalent to ``receive`` + ``process`` +
-        ``produce`` *minus* the graph hand-off -- no port side effects,
-        no reliance on ``self._deliver``.  Components with richer
-        delivery semantics return ``None`` (the default) and stay
-        interpreted.
-        """
-        return None
-
     def emit_feature_data(self, datum: Datum) -> None:
         """Emit feature-added data, bypassing the produce hooks.
 
@@ -445,13 +425,6 @@ class ComponentObserver(abc.ABC):
         feature_name: str,
     ) -> None:
         """A Component Feature vetoed an inbound datum; default no-op."""
-
-    def component_reconfigured(
-        self, component: ProcessingComponent
-    ) -> None:
-        """The component's features/ports changed in place; default
-        no-op.  The graph uses this to invalidate its compiled dispatch
-        plan without a structural mutation."""
 
 
 class SourceComponent(ProcessingComponent):
@@ -517,24 +490,6 @@ class FunctionComponent(ProcessingComponent):
             result = [result]
         for item in result:
             self.produce(item)
-
-    def fused_fn(
-        self,
-    ) -> Optional[Callable[[Datum], Union[None, Datum, Iterable[Datum]]]]:
-        """``fn`` itself -- a stock FunctionComponent is exactly a flat
-        per-datum step.  Subclasses that override any piece of the data
-        path fall back to ``None``: the identity checks below make the
-        opt-in conservative rather than optimistic."""
-        cls = type(self)
-        if (
-            cls.process is FunctionComponent.process
-            and cls.receive is ProcessingComponent.receive
-            and cls.receive_batch is FunctionComponent.receive_batch
-            and cls.produce is ProcessingComponent.produce
-            and cls.produce_batch is ProcessingComponent.produce_batch
-        ):
-            return self._fn
-        return None
 
     def receive_batch(self, port_name: str, datums: Sequence[Datum]) -> None:
         """Batch-aware delivery: hoisted checks, one downstream hand-off.

@@ -41,18 +41,6 @@ on them).  Reflective manipulation stays exactly as expressive -- it
 just pays the (lazy) rebuild once per mutation instead of a linear scan
 per datum.  Input-port accept-sets are treated as immutable after
 component construction, which is what makes the memo sound.
-
-On top of the indexes sits the **compiled dispatch plan**
-(:mod:`repro.core.compile`): maximal linear chains of
-single-in/single-out components are fused into
-:class:`~repro.core.compile.FusedChain` super-steps, and route-memo
-entries carry the fused chain (or ``None``) alongside the consumer, so
-steady-state routing jumps a whole chain with one lookup.  The plan is
-keyed on a **plan epoch** bumped by every structural mutation *and* by
-the reflection seams that leave the topology alone -- feature
-attach/detach, hub/supervisor install, observer (un)subscription --
-via :meth:`ProcessingGraph.invalidate_plan`.  Whenever reflection is
-live, routing falls back to the interpreted walk.
 """
 
 from __future__ import annotations
@@ -72,7 +60,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.compile import CompiledPlan, FusedChain, compile_plan
 from repro.core.component import ComponentObserver, ProcessingComponent
 from repro.core.data import Datum
 
@@ -98,10 +85,6 @@ class Connection:
 #: One precompiled routing-table entry: the live consumer component, the
 #: input port name, and the port's accept-set frozen for O(1) matching.
 RouteEntry = Tuple[ProcessingComponent, str, FrozenSet[str]]
-
-#: One memoized route: the live consumer, the input port name, and the
-#: fused chain headed by that consumer (``None`` -> interpreted hop).
-MemoEntry = Tuple[ProcessingComponent, str, Optional[FusedChain]]
 
 
 class GraphObserver:
@@ -168,23 +151,12 @@ class ProcessingGraph(ComponentObserver):
         self._version: int = 0
         self._routing: Optional[Dict[str, List[RouteEntry]]] = None
         self._route_memo: Dict[
-            Tuple[str, str], Tuple[MemoEntry, ...]
+            Tuple[str, str], Tuple[Tuple[ProcessingComponent, str], ...]
         ] = {}
         self._upstream_index: Optional[Dict[str, List[str]]] = None
         self._downstream_index: Optional[Dict[str, List[str]]] = None
         self._descendants_cache: Dict[str, FrozenSet[str]] = {}
         self._ancestors_cache: Dict[str, FrozenSet[str]] = {}
-        # -- compiled dispatch plan (repro.core.compile) -------------------
-        # The plan epoch covers strictly more than the topology version:
-        # reflection seams that leave the structure alone (feature
-        # attach/detach, hub/supervisor install, observers) bump it too.
-        self._compile_enabled: bool = True
-        self._plan: Optional[CompiledPlan] = None
-        self._plan_epoch: int = 0
-        self._plan_invalidations: int = 0
-        # Fused super-step executions (chain entries, not member hops);
-        # kept as a plain int so bare graphs pay no instrument lookup.
-        self._fused_dispatches: int = 0
 
     # -- instrumentation ------------------------------------------------------
 
@@ -203,9 +175,6 @@ class ProcessingGraph(ComponentObserver):
         """
         previous = self._instrumentation
         self._instrumentation = hub
-        # Fusion eligibility (tracing gate) and the chains' cached hub
-        # instruments both depend on which hub is installed.
-        self.invalidate_plan()
         if hub is not None:
             hub.topology_changed(
                 len(self._components), len(self._connections), self._version
@@ -236,9 +205,6 @@ class ProcessingGraph(ComponentObserver):
         self._supervisor = supervisor
         if supervisor is not None:
             supervisor._graph = self
-        # Supervision gates fusion entirely: every delivery must cross
-        # the supervised boundary (breakers, quarantine, isolation).
-        self.invalidate_plan()
         return previous
 
     # -- scale-out runtime -----------------------------------------------------
@@ -341,75 +307,22 @@ class ProcessingGraph(ComponentObserver):
         return self._version
 
     def _invalidate(self) -> None:
-        """Structural mutation: bump the version, drop derived indexes."""
-        # The plan goes first: even if a later step failed, no stale
-        # fused chain may survive a structural mutation.
-        self.invalidate_plan()
+        """Structural mutation: bump the version, drop derived indexes.
+
+        The only place the route memo is cleared: its entries depend on
+        nothing but the connections and the input ports' accept-sets,
+        and only structural mutations change those.
+        """
         self._version += 1
         self._routing = None
+        if self._route_memo:
+            self._route_memo = {}
         self._upstream_index = None
         self._downstream_index = None
         if self._descendants_cache:
             self._descendants_cache = {}
         if self._ancestors_cache:
             self._ancestors_cache = {}
-
-    def invalidate_plan(self) -> None:
-        """Reflection went live: decompile, drop chain-bearing memos.
-
-        Bumped-epoch comparison is what lets an in-flight
-        :class:`~repro.core.compile.FusedChain` detect mid-delivery
-        mutation and decompile on the spot; the route memo is dropped
-        with the plan because its entries embed the chains.  Called by
-        every structural mutation (via :meth:`_invalidate`) and by the
-        non-structural reflection seams: feature attach/detach
-        (:meth:`component_reconfigured`), hub/supervisor install,
-        observer (un)subscription, and :meth:`set_compilation`.
-        """
-        self._plan_epoch += 1
-        self._plan = None
-        self._plan_invalidations += 1
-        if self._route_memo:
-            self._route_memo = {}
-        hub = self._instrumentation
-        if hub is not None:
-            hub.plan_invalidated()
-
-    def _compiled_plan(self) -> CompiledPlan:
-        """The current plan, compiling lazily at the live epoch."""
-        plan = self._plan
-        if plan is None or plan.epoch != self._plan_epoch:
-            plan = self._plan = compile_plan(self)
-            hub = self._instrumentation
-            if hub is not None:
-                hub.plan_compiled(
-                    len(plan.chains),
-                    sum(len(c.members) for c in plan.chains.values()),
-                )
-        return plan
-
-    def set_compilation(self, enabled: bool) -> bool:
-        """Enable/disable plan compilation; returns the previous setting.
-
-        Disabling forces every delivery onto the interpreted walk --
-        the translucency escape hatch (and what the E14 benchmark uses
-        as its interpreted baseline).
-        """
-        previous = self._compile_enabled
-        if previous != enabled:
-            self._compile_enabled = enabled
-            self.invalidate_plan()
-        return previous
-
-    def plan_snapshot(self) -> Dict[str, Any]:
-        """Reflective summary of the compiled plan (compiles if stale)."""
-        snapshot = self._compiled_plan().describe()
-        snapshot.update(
-            enabled=self._compile_enabled,
-            invalidations=self._plan_invalidations,
-            fused_dispatches=self._fused_dispatches,
-        )
-        return snapshot
 
     def _routing_table(self) -> Dict[str, List[RouteEntry]]:
         table = self._routing
@@ -427,13 +340,9 @@ class ProcessingGraph(ComponentObserver):
 
     def _route_entries(
         self, producer: str, kind: str
-    ) -> Tuple[MemoEntry, ...]:
-        # Consult the compiled plan while building the memo entry: a
-        # consumer heading a fused chain carries its chain, so the hot
-        # loops pay one ``is None`` check to jump the whole chain.
-        chains = self._compiled_plan().chains
+    ) -> Tuple[Tuple[ProcessingComponent, str], ...]:
         entries = tuple(
-            (consumer, port_name, chains.get(consumer.name))
+            (consumer, port_name)
             for consumer, port_name, accepts in self._routing_table().get(
                 producer, ()
             )
@@ -499,45 +408,37 @@ class ProcessingGraph(ComponentObserver):
         out.
         """
         component = self.component(name)
-        try:
-            upstream, _down = self._adjacency()
-            producers = list(upstream.get(name, ()))
-            downstream_ports = [
-                (consumer.name, port_name)
-                for consumer, port_name, _accepts in self._routing_table().get(
-                    name, ()
-                )
+        upstream, _down = self._adjacency()
+        producers = list(upstream.get(name, ()))
+        downstream_ports = [
+            (consumer.name, port_name)
+            for consumer, port_name, _accepts in self._routing_table().get(
+                name, ()
+            )
+        ]
+        if producers or downstream_ports:
+            self._connections = [
+                c
+                for c in self._connections
+                if c.producer != name and c.consumer != name
             ]
-            if producers or downstream_ports:
-                self._connections = [
-                    c
-                    for c in self._connections
-                    if c.producer != name and c.consumer != name
-                ]
-            del self._components[name]
-            self._invalidate()
-            component._observer = None
-            component._deliver = None
-            component._deliver_batch = None
-            if reconnect:
-                for up in producers:
-                    for consumer, port in downstream_ports:
-                        if up == consumer:
-                            # Splicing out a node must never wire a
-                            # component to itself; skip instead of relying
-                            # on the cycle check to reject the self-loop.
-                            continue
-                        try:
-                            self.connect(up, consumer, port)
-                        except GraphError:
-                            continue
-        except BaseException:
-            # An error escaping mid-removal (e.g. a non-GraphError out of
-            # a reconnect attempt) may leave the mutation half-applied
-            # without reaching another version bump; no stale fused chain
-            # may survive that, so decompile unconditionally.
-            self.invalidate_plan()
-            raise
+        del self._components[name]
+        self._invalidate()
+        component._observer = None
+        component._deliver = None
+        component._deliver_batch = None
+        if reconnect:
+            for up in producers:
+                for consumer, port in downstream_ports:
+                    if up == consumer:
+                        # Splicing out a node must never wire a component
+                        # to itself; skip instead of relying on the cycle
+                        # check to reject the self-loop.
+                        continue
+                    try:
+                        self.connect(up, consumer, port)
+                    except GraphError:
+                        continue
         self._notify_topology()
         return component
 
@@ -663,27 +564,19 @@ class ProcessingGraph(ComponentObserver):
                 f"no existing connection {producer} -> {consumer} to"
                 " splice into"
             )
-        try:
-            if component.name not in self._components:
-                self.add(component)
-            for edge in existing:
-                self.disconnect(edge.producer, edge.consumer, edge.port)
-            already_fed = component.name in self.downstream_map().get(
-                producer, ()
-            )
-            if not already_fed:
-                # Splicing the same component into several edges of one
-                # producer (insert_after) shares a single feeding
-                # connection.
-                self.connect(producer, component.name)
-            for edge in existing:
-                self.connect(component.name, edge.consumer, edge.port)
-        except BaseException:
-            # Same guarantee as :meth:`remove`: a splice failing between
-            # its constituent mutations must not leave a stale compiled
-            # plan behind, whichever step short-circuited.
-            self.invalidate_plan()
-            raise
+        if component.name not in self._components:
+            self.add(component)
+        for edge in existing:
+            self.disconnect(edge.producer, edge.consumer, edge.port)
+        already_fed = component.name in self.downstream_map().get(
+            producer, ()
+        )
+        if not already_fed:
+            # Splicing the same component into several edges of one
+            # producer (insert_after) shares a single feeding connection.
+            self.connect(producer, component.name)
+        for edge in existing:
+            self.connect(component.name, edge.consumer, edge.port)
 
     # -- traversal --------------------------------------------------------------
 
@@ -792,9 +685,7 @@ class ProcessingGraph(ComponentObserver):
             # Supervised delivery: the supervisor wraps each consumer's
             # receive (and the hub, when installed, stays inside the
             # wrap so error counters keep recording) in the policy.
-            # Chains are never compiled under supervision, so the memo
-            # entries here always carry ``None``.
-            for consumer, port_name, _chain in entries:
+            for consumer, port_name in entries:
                 if (
                     version != self._version
                     and components.get(consumer.name) is not consumer
@@ -802,27 +693,21 @@ class ProcessingGraph(ComponentObserver):
                     continue
                 supervisor.deliver(consumer, port_name, datum, hub)
         elif hub is None:
-            for consumer, port_name, chain in entries:
+            for consumer, port_name in entries:
                 if (
                     version != self._version
                     and components.get(consumer.name) is not consumer
                 ):
                     continue
-                if chain is not None:
-                    chain.run_datum(self, datum, None)
-                else:
-                    consumer.receive(port_name, datum)
+                consumer.receive(port_name, datum)
         else:
-            for consumer, port_name, chain in entries:
+            for consumer, port_name in entries:
                 if (
                     version != self._version
                     and components.get(consumer.name) is not consumer
                 ):
                     continue
-                if chain is not None:
-                    chain.run_datum(self, datum, hub)
-                else:
-                    hub.deliver(consumer, port_name, datum)
+                hub.deliver(consumer, port_name, datum)
 
     # -- batched delivery (scale-out runtime) ------------------------------------
 
@@ -892,7 +777,7 @@ class ProcessingGraph(ComponentObserver):
                 entries = self._route_entries(producer, kind)
             if not entries:
                 continue
-            for consumer, port_name, chain in entries:
+            for consumer, port_name in entries:
                 if (
                     version != self._version
                     and components.get(consumer.name) is not consumer
@@ -902,8 +787,6 @@ class ProcessingGraph(ComponentObserver):
                     supervisor.deliver_batch(
                         consumer, port_name, group, hub
                     )
-                elif chain is not None:
-                    chain.run_batch(self, group, hub)
                 elif hub is None:
                     consumer.receive_batch(port_name, group)
                 else:
@@ -912,28 +795,16 @@ class ProcessingGraph(ComponentObserver):
     # -- observation ----------------------------------------------------------------
 
     def add_observer(self, observer: GraphObserver) -> Callable[[], None]:
-        """Subscribe to graph events; returns an unsubscribe callable.
-
-        Observers gate plan compilation (they must see every per-hop
-        event), so (un)subscription invalidates the compiled plan.
-        """
+        """Subscribe to graph events; returns an unsubscribe callable."""
         self._observers.append(observer)
         self._observer_tuple = tuple(self._observers)
-        self.invalidate_plan()
 
         def _remove() -> None:
             if observer in self._observers:
                 self._observers.remove(observer)
                 self._observer_tuple = tuple(self._observers)
-                self.invalidate_plan()
 
         return _remove
-
-    def component_reconfigured(self, component: ProcessingComponent) -> None:
-        """Component callback: a feature attached/detached (or the
-        output port otherwise changed) -- decompile, the member's fused
-        step and its chain's eligibility are both stale."""
-        self.invalidate_plan()
 
     def data_consumed(
         self, component: ProcessingComponent, port_name: str, datum: Datum

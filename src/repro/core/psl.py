@@ -68,24 +68,7 @@ class ProcessStructureLayer:
         gateway = self.graph.gateway
         if gateway is not None and gateway.source == name:
             info["gateway"] = gateway.snapshot()
-        info["compiled_plans"] = self._compiled_role(name)
         return info
-
-    def _compiled_role(self, name: str) -> Dict[str, Any]:
-        """This component's place in the compiled dispatch plan."""
-        plan = self.graph.plan_snapshot()
-        role: Dict[str, Any] = {"enabled": plan["enabled"]}
-        if plan["fallback_reason"]:
-            role["fallback_reason"] = plan["fallback_reason"]
-        for chain in plan["chains"]:
-            if name in chain["members"]:
-                role["chain"] = chain
-                break
-        else:
-            excluded = plan["excluded"].get(name)
-            if excluded:
-                role["excluded"] = excluded
-        return role
 
     def connections(self) -> List[Connection]:
         """All edges of the reified process."""
@@ -114,26 +97,6 @@ class ProcessStructureLayer:
         change "the set of available methods".
         """
         return self.graph.component(name).public_methods()
-
-    def compiled_plans(self) -> Dict[str, Any]:
-        """The graph's compiled dispatch plan, reflectively.
-
-        The translucency surface of :mod:`repro.core.compile`: which
-        maximal linear chains are currently fused (with member lists),
-        why the whole graph fell back to interpreted dispatch (if it
-        did), why individual components stayed interpreted, and the
-        invalidation / fused-dispatch counters.  Reading it compiles a
-        stale plan on the spot, so the answer is always current.
-        """
-        return self.graph.plan_snapshot()
-
-    def set_compilation(self, enabled: bool) -> bool:
-        """Enable/disable chain fusion; returns the previous setting.
-
-        Adaptation of the dispatch *strategy* through the same layer
-        that adapts the process structure.
-        """
-        return self.graph.set_compilation(enabled)
 
     # -- runtime observability ------------------------------------------------
 

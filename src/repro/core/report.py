@@ -155,10 +155,6 @@ def infrastructure_snapshot(middleware: PerPos) -> Dict[str, Any]:
             if middleware.graph.control is not None
             else None
         ),
-        # Compiled dispatch plan of this middleware's graph (always
-        # present: a gated plan reports its fallback reason instead of
-        # chains).  Shard-private plans ride along inside "sharding".
-        "compiled": middleware.graph.plan_snapshot(),
     }
 
 
@@ -383,19 +379,6 @@ def render_report(middleware: PerPos) -> str:
                 f"    t={record['tick']} {record['controller']}:"
                 f" {record['action']}{target} ({record['reason']})"
             )
-    lines.append("")
-    lines.append("compiled:")
-    lines.append("  graph: " + _plan_line(snapshot["compiled"]))
-    if sharding is not None:
-        for entry in sharding["per_shard"]:
-            engine_snap = entry["engine"]
-            plan = (
-                engine_snap.get("plan") if engine_snap is not None else None
-            )
-            if plan is not None:
-                lines.append(
-                    f"  shard {entry['shard']}: " + _plan_line(plan)
-                )
     observability = snapshot["observability"]
     lines.append("")
     lines.append("live metrics:")
@@ -416,33 +399,6 @@ def render_report(middleware: PerPos) -> str:
                 parts.append(f"mean_latency_s={_fmt(latency['mean'])}")
             lines.append(f"  {name}: " + ", ".join(parts))
     return "\n".join(lines)
-
-
-def _plan_line(plan: Dict[str, Any]) -> str:
-    """One-line rendering of a graph's compiled dispatch plan."""
-    if not plan["enabled"]:
-        state = "compilation disabled"
-    elif plan["fallback_reason"]:
-        state = f"interpreted ({plan['fallback_reason']})"
-    elif not plan["chains"]:
-        state = "0 chains (nothing fusable)"
-    else:
-        rendered = ", ".join(
-            " -> ".join(chain["members"]) for chain in plan["chains"][:3]
-        )
-        more = len(plan["chains"]) - 3
-        if more > 0:
-            rendered += f", +{more} more"
-        state = (
-            f"{len(plan['chains'])} chains"
-            f" / {plan['fused_components']} components fused"
-            f" ({rendered})"
-        )
-    return (
-        state
-        + f"; invalidations={plan['invalidations']},"
-        + f" fused_dispatches={plan['fused_dispatches']}"
-    )
 
 
 def _fmt(value: Any) -> str:

@@ -102,8 +102,6 @@ class ObservabilityHub:
         self._geofence_counters: Dict[str, Any] = {}
         self._controller_counters: Dict[Tuple[str, str], Any] = {}
         self._ledger_gauge: Any = None
-        # Plan-compilation memo (graph compiler seam).
-        self._plan_invalidation_counter: Any = None
 
     # -- graph hooks (hot path) --------------------------------------------
 
@@ -161,7 +159,7 @@ class ObservabilityHub:
         whole batch crosses ``consumer.receive_batch`` in one call:
         ``items_in`` still counts every datum, while ``hop_latency_s``
         records one observation for the whole batch (per-datum hop
-        times are meaningless inside a fused batch).
+        times are meaningless inside one batched call).
         """
         if self.tracing:
             deliver = self.deliver
@@ -340,28 +338,6 @@ class ObservabilityHub:
         self.registry.gauge("graph_connections").set(n_connections)
         if version is not None:
             self.registry.gauge("graph_topology_version").set(version)
-
-    # -- plan compilation (graph compiler seam) -----------------------------
-
-    def plan_invalidated(self) -> None:
-        """The graph dropped its compiled dispatch plan."""
-        counter = self._plan_invalidation_counter
-        if counter is None:
-            counter = self._plan_invalidation_counter = self.registry.counter(
-                "graph_plan_invalidations"
-            )
-        counter.inc()
-
-    def plan_compiled(self, n_chains: int, fused_components: int) -> None:
-        """The graph (re)compiled its dispatch plan.
-
-        ``graph_compiled_chains`` / ``graph_fused_components`` gauges
-        describe the live plan; the companion
-        ``graph_fused_dispatches`` counter is advanced by the fused
-        chains themselves as they execute.
-        """
-        self.registry.gauge("graph_compiled_chains").set(n_chains)
-        self.registry.gauge("graph_fused_components").set(fused_components)
 
     # -- queries -----------------------------------------------------------
 

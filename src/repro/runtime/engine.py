@@ -474,9 +474,4 @@ class PositioningEngine:
             "lanes": {
                 lane.target_id: lane.stats() for lane in self._lane_list
             },
-            # The compiled dispatch plan the drains execute against --
-            # carried here so shard snapshots (which serialise this
-            # dict across the executor boundary) surface each shard's
-            # private plan in the merged report.
-            "plan": self.graph.plan_snapshot(),
         }

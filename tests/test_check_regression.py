@@ -54,23 +54,6 @@ def scale_artefact(speedup=3.0, floor=2.0):
     }
 
 
-def compile_artefact(speedup=2.5, floor=2.0):
-    return {
-        "compile": {
-            "batch": 32,
-            "speedup_floor": floor,
-            "gated_workload": "depth32",
-            "depths": {
-                "depth32": {
-                    "compiled": 100.0,
-                    "interpreted": 100.0 / speedup,
-                    "speedup": speedup,
-                },
-            },
-        }
-    }
-
-
 def gateway_artefact(
     overhead=1.05,
     ceiling=1.15,
@@ -199,9 +182,6 @@ class TestSchemaSniffing:
     def test_shard_schema_passes(self, tmp_path):
         assert run(tmp_path, shard_artefact(), shard_artefact()) == 0
 
-    def test_compile_schema_passes(self, tmp_path):
-        assert run(tmp_path, compile_artefact(), compile_artefact()) == 0
-
     def test_gateway_schema_passes(self, tmp_path):
         assert run(tmp_path, gateway_artefact(), gateway_artefact()) == 0
 
@@ -245,20 +225,6 @@ class TestRegressionExits:
         current = shard_artefact()
         current["shard"]["workloads"] = {}
         assert run(tmp_path, shard_artefact(), current) == 1
-
-    def test_compile_ratio_regression_exits_1(self, tmp_path):
-        base, cur = compile_artefact(4.0), compile_artefact(2.5)
-        assert run(tmp_path, base, cur) == 1
-
-    def test_compile_absolute_floor_exits_1(self, tmp_path):
-        # Ratio holds (same speedup), but the artefact's own floor bites.
-        artefact = compile_artefact(speedup=1.5, floor=2.0)
-        assert run(tmp_path, artefact, artefact) == 1
-
-    def test_compile_missing_depth_exits_1(self, tmp_path):
-        current = compile_artefact()
-        current["compile"]["depths"] = {}
-        assert run(tmp_path, compile_artefact(), current) == 1
 
     def test_gateway_overhead_growth_exits_1(self, tmp_path):
         # Overhead factors invert: growing 1.02x -> 1.4x is a regression

@@ -13,6 +13,8 @@ from repro.core.component import (
 from repro.core.data import Datum
 from repro.core.features import ComponentFeature
 from repro.core.graph import GraphError, GraphObserver, ProcessingGraph
+from repro.observability.instrumentation import ObservabilityHub
+from repro.observability.metrics import MetricsRegistry
 
 
 def passthrough(name, accepts=("x",), capabilities=("x",), **kwargs):
@@ -385,6 +387,182 @@ class TestTopologyVersionAndIndexes:
         source.inject(Datum("x", 1, 0.0))
         source.inject(Datum("x", 2, 0.0))
         assert [d.payload for d in late.received] == [1, 2]
+
+
+class TestMidDeliveryMutation:
+    """Structural mutations fired from inside delivery, including ones
+    that fail half-way, leave routing exactly what the structure says."""
+
+    def chain(self, *stages):
+        """src -> stages... -> app; each stage is ``(name, fn)``."""
+        graph = ProcessingGraph()
+        graph.add(SourceComponent("src", ("x",)))
+        graph.add(ApplicationSink("app", ("x",)))
+        previous = "src"
+        for name, fn in stages:
+            graph.add(FunctionComponent(name, ("x",), ("x",), fn=fn))
+            graph.connect(previous, name)
+            previous = name
+        graph.connect(previous, "app")
+        return graph
+
+    @staticmethod
+    def counting(calls, name):
+        def fn(datum):
+            calls.append(name)
+            return datum
+
+        return fn
+
+    def test_remove_reconnect_mid_delivery_reroutes(self):
+        def remove_tail(datum):
+            if "s2" in graph:
+                graph.remove("s2", reconnect=True)
+            return datum
+
+        graph = self.chain(
+            ("s0", lambda d: d), ("s1", remove_tail), ("s2", lambda d: d)
+        )
+        src = graph.component("src")
+        src.inject_batch([Datum("x", 1, 0.0), Datum("x", 2, 0.0)])
+        src.inject(Datum("x", 3, 0.0))
+        # The in-flight batch left s1 over the spliced s1 -> app edge;
+        # every datum reached the sink exactly once.
+        assert [d.payload for d in graph.component("app").received] == [
+            1,
+            2,
+            3,
+        ]
+        assert graph.downstream("s1") == ["app"]
+
+    def test_insert_between_mid_delivery_takes_effect_at_boundary(self):
+        seen = []
+
+        def splice(datum):
+            if "tap" not in graph:
+                graph.insert_between(
+                    "s1",
+                    "s2",
+                    FunctionComponent(
+                        "tap",
+                        ("x",),
+                        ("x",),
+                        fn=lambda d: (seen.append(d.payload), d)[1],
+                    ),
+                )
+            return datum
+
+        graph = self.chain(
+            ("s0", lambda d: d), ("s1", splice), ("s2", lambda d: d)
+        )
+        graph.component("src").inject_batch(
+            [Datum("x", 1, 0.0), Datum("x", 2, 0.0)]
+        )
+        # s1 finished the whole batch before handing it on, so the batch
+        # crossed the tap spliced in while s1 was processing it.
+        assert seen == [1, 2]
+        assert [d.payload for d in graph.component("app").received] == [1, 2]
+        assert graph.downstream("s1") == ["tap"]
+
+    def test_failed_remove_reconnect_routes_the_half_applied_topology(
+        self,
+    ):
+        calls = []
+        graph = self.chain(
+            ("s0", self.counting(calls, "s0")),
+            ("s1", self.counting(calls, "s1")),
+            ("s2", self.counting(calls, "s2")),
+        )
+        graph.component("src").inject(Datum("x", 1, 0.0))  # warm memo
+
+        def exploding_connect(*args, **kwargs):
+            raise RuntimeError("reconnect blew up")
+
+        graph.connect = exploding_connect
+        with pytest.raises(RuntimeError):
+            graph.remove("s1", reconnect=True)
+        del graph.connect
+        graph.component("src").inject(Datum("x", 2, 0.0))
+        # s1 is gone and the reconnect never happened: the datum stops
+        # at s0, and the warmed s0 -> s1 route is not replayed.
+        assert "s1" not in graph
+        assert graph.downstream("s0") == []
+        assert calls == ["s0", "s1", "s2", "s0"]
+        assert [d.payload for d in graph.component("app").received] == [1]
+
+    def test_failed_insert_between_routes_the_half_applied_topology(self):
+        calls = []
+        graph = self.chain(
+            ("s0", self.counting(calls, "s0")),
+            ("s1", self.counting(calls, "s1")),
+            ("s2", self.counting(calls, "s2")),
+        )
+        s0 = graph.component("s0")
+        graph.component("src").inject(Datum("x", 1, 0.0))  # warm memo
+        with pytest.raises(GraphError):
+            # "s0" is already present, so the splice disconnects
+            # s1 -> s2 and then fails the cycle check on s1 -> s0.
+            graph.insert_between("s1", "s2", passthrough("s0"))
+        graph.component("src").inject(Datum("x", 2, 0.0))
+        # Routing follows the half-applied splice: traffic stops at s1
+        # instead of riding the warmed s1 -> s2 route.
+        assert graph.component("s0") is s0
+        assert graph.downstream("s1") == []
+        assert calls == ["s0", "s1", "s2", "s0", "s1"]
+        assert [d.payload for d in graph.component("app").received] == [1]
+
+    def test_route_memo_survives_non_structural_seams(self):
+        """Only structural mutations clear the route memo: features,
+        hub install and observers change no connection or accept-set."""
+
+        class Tagger(ComponentFeature):
+            name = "Tagger"
+            provides = ("y",)
+
+            def produce(self, datum):
+                self.add_data(Datum("y", datum.payload, datum.timestamp))
+                return datum
+
+        class Counter(GraphObserver):
+            produced = 0
+
+            def data_produced(self, component, datum):
+                Counter.produced += 1
+
+        graph = ProcessingGraph()
+        source = SourceComponent("src", ("x",))
+        sink = ApplicationSink("app", ("x", "y"))
+        for component in (source, passthrough("s0"), sink):
+            graph.add(component)
+        graph.connect("src", "s0")
+        graph.connect("s0", "app")
+        source.inject(Datum("x", 1, 0.0))
+        warm = graph._route_memo[("s0", "x")]
+        version = graph.topology_version
+
+        graph.component("s0").attach_feature(Tagger())
+        hub = ObservabilityHub(MetricsRegistry(), tracing=False)
+        graph.set_instrumentation(hub)
+        graph.add_observer(Counter())
+
+        assert graph.topology_version == version
+        assert graph._route_memo[("s0", "x")] is warm
+        source.inject_batch([Datum("x", 2, 0.0), Datum("x", 3, 0.0)])
+        source.inject(Datum("x", 4, 0.0))
+        # The feature's new kind resolves on first use; every datum is
+        # delivered exactly once and counted by the hub.
+        assert sorted((d.kind, d.payload) for d in sink.received) == [
+            ("x", 1),
+            ("x", 2),
+            ("x", 3),
+            ("x", 4),
+            ("y", 2),
+            ("y", 3),
+            ("y", 4),
+        ]
+        assert hub.component_stats("s0")["items_in"] == 3
+        assert hub.component_stats("app")["items_in"] == 6
+        assert Counter.produced == 9
 
 
 class TestObservers:
