@@ -12,12 +12,14 @@ The building model answers the three questions the middleware asks of it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.geo.grid import GridPosition, LocalGrid
 from repro.geo.wgs84 import Wgs84Position
 from repro.model.geometry import (
+    ON_SEGMENT_EPS,
     Point,
     bounding_box,
     point_in_polygon,
@@ -79,14 +81,41 @@ class SymbolicLocation:
         return self.room_id is not None
 
 
+def _containment_box(
+    polygon: Sequence[Point],
+) -> Tuple[float, float, float, float]:
+    """A box holding every point :func:`point_in_polygon` accepts.
+
+    Ray casting only counts points inside the vertex box, but the edge
+    test ``_on_segment`` also accepts points up to ``eps / L`` past an
+    edge's ends and ``eps * max(1, |dx| + |dy|) / L`` off its line, ``L``
+    being the edge's length and ``|dx| + |dy| <= sqrt(2) * L``: at most
+    ``2 * eps * (1 / L + 1)`` from the edge.  The pad is twice that for
+    the shortest edge; the factor 2 covers float rounding in the tests,
+    orders of magnitude below ``eps`` at building scale.  A zero-length
+    edge accepts every point, so its polygon gets an unbounded box.
+    """
+    shortest = min(map(math.dist, polygon, polygon[1:] + polygon[:1]))
+    if not shortest:
+        return (-math.inf, -math.inf, math.inf, math.inf)
+    pad = 4.0 * ON_SEGMENT_EPS * (1.0 / shortest + 1.0)
+    xs, ys = zip(*polygon)
+    return (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+
+
 class Floor:
-    """One building storey: rooms plus interior/exterior walls."""
+    """One building storey: rooms plus interior/exterior walls.
+
+    ``rooms`` is a tuple: the floor indexes each room's containment box
+    at construction, and :meth:`room_at` tests the box before the
+    polygon.
+    """
 
     def __init__(
         self, level: int, rooms: Sequence[Room], walls: Sequence[Wall]
     ) -> None:
         self.level = level
-        self.rooms = list(rooms)
+        self.rooms = tuple(rooms)
         self.walls = [w for w in walls if w.floor == level]
         for room in self.rooms:
             if room.floor != level:
@@ -94,10 +123,24 @@ class Floor:
                     f"room {room.room_id} declared for floor {room.floor},"
                     f" placed on floor {level}"
                 )
+        # Polygons of fewer than 3 vertices contain no point.
+        self._boxes = [
+            (room, room.polygon, *_containment_box(room.polygon))
+            for room in self.rooms
+            if len(room.polygon) >= 3
+        ]
 
     def room_at(self, position: GridPosition) -> Optional[Room]:
-        for room in self.rooms:
-            if room.contains(position):
+        """The first room, in floor order, containing ``position``."""
+        if position.floor != self.level:
+            return None
+        x, y = position.x_m, position.y_m
+        for room, polygon, min_x, min_y, max_x, max_y in self._boxes:
+            if (
+                min_x <= x <= max_x
+                and min_y <= y <= max_y
+                and point_in_polygon(x, y, polygon)
+            ):
                 return room
         return None
 

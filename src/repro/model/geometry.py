@@ -11,6 +11,9 @@ from typing import Sequence, Tuple
 
 Point = Tuple[float, float]
 
+#: Tolerance of :func:`point_in_polygon`'s edge test.
+ON_SEGMENT_EPS = 1e-9
+
 
 def point_in_polygon(x: float, y: float, polygon: Sequence[Point]) -> bool:
     """Ray-casting containment test; points on edges count as inside.
@@ -35,7 +38,7 @@ def point_in_polygon(x: float, y: float, polygon: Sequence[Point]) -> bool:
 
 def _on_segment(
     px: float, py: float, x1: float, y1: float, x2: float, y2: float,
-    eps: float = 1e-9,
+    eps: float = ON_SEGMENT_EPS,
 ) -> bool:
     cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
     if abs(cross) > eps * max(1.0, abs(x2 - x1) + abs(y2 - y1)):

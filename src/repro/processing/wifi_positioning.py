@@ -6,36 +6,59 @@ map -- RSSI vectors at known grid positions, built by
 :func:`repro.sensors.wifi.build_radio_map` -- and the online phase is
 weighted k-nearest-neighbours in signal space, producing positions in
 both the building grid and WGS84.
+
+The radio map is indexed once, at construction: every survey vector is
+stored as a dense tuple over the map's access points in sorted order,
+filled with the noise floor, next to a bitmask of the APs it hears.  A
+scan is then scored against all survey points with C-level ``map``
+calls instead of a dict walk per point, and the scores are bit-for-bit
+those of :func:`signal_distance` (DESIGN.md §15 gives the argument).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import Mapping, Sequence, Tuple
+import sys
+from itertools import repeat
+from operator import mul, or_, truediv
+from typing import List, Mapping, Sequence, Tuple
 
 from repro.core.component import InputPort, OutputPort, ProcessingComponent
 from repro.core.data import Datum, Kind
 from repro.geo.grid import GridPosition, LocalGrid
 from repro.sensors.wifi import WifiScan
 
+#: RSSI assumed for an AP a vector does not hear (the noise floor).
+MISSING_DBM = -95.0
+
 
 def signal_distance(
-    a: Mapping[str, float], b: Mapping[str, float], missing_dbm: float = -95.0
+    a: Mapping[str, float], b: Mapping[str, float], missing_dbm: float = MISSING_DBM
 ) -> float:
     """Euclidean distance between RSSI vectors over the union of APs.
 
     APs heard in one vector but not the other count as received at the
-    noise floor, which penalises disagreeing coverage sets.
+    noise floor, which penalises disagreeing coverage sets.  The squared
+    sum runs over the APs in sorted order, so the result does not depend
+    on the hash seed.
     """
-    keys = set(a) | set(b)
+    keys = sorted(set(a) | set(b))
     if not keys:
         return float("inf")
-    total = 0.0
-    for key in keys:
-        va = a.get(key, missing_dbm)
-        vb = b.get(key, missing_dbm)
-        total += (va - vb) ** 2
-    return math.sqrt(total / len(keys))
+    norm = math.dist(
+        [a.get(key, missing_dbm) for key in keys],
+        [b.get(key, missing_dbm) for key in keys],
+    )
+    return math.sqrt(norm * norm / len(keys))
+
+
+if sys.version_info >= (3, 10):
+    _popcount = int.bit_count
+else:  # pragma: no cover
+
+    def _popcount(mask: int) -> int:
+        return bin(mask).count("1")
 
 
 class FingerprintPositioningComponent(ProcessingComponent):
@@ -64,6 +87,22 @@ class FingerprintPositioningComponent(ProcessingComponent):
         self.grid = grid
         self.k = k
         self.min_observations = min_observations
+        # The dense index: one row per survey point over the sorted AP
+        # universe, and the bitmask of the APs the row hears.
+        self._aps = sorted(
+            {ap for _pos, vector in self.radio_map for ap in vector}
+        )
+        self._bit = {ap: 1 << i for i, ap in enumerate(self._aps)}
+        self._positions = [pos for pos, _vector in self.radio_map]
+        self._rows = [self._dense(vector) for _pos, vector in self.radio_map]
+        self._masks = [self._mask(vector) for _pos, vector in self.radio_map]
+
+    def _dense(self, vector: Mapping[str, float]) -> Tuple[float, ...]:
+        return tuple(vector.get(ap, MISSING_DBM) for ap in self._aps)
+
+    def _mask(self, vector: Mapping[str, float]) -> int:
+        bit = self._bit
+        return sum(bit[ap] for ap in vector)
 
     def process(self, port_name: str, datum: Datum) -> None:
         scan = datum.payload
@@ -99,15 +138,7 @@ class FingerprintPositioningComponent(ProcessingComponent):
 
     def estimate(self, scan: WifiScan) -> Tuple[GridPosition, float]:
         """Weighted-kNN estimate and a spread-based accuracy value."""
-        observed = scan.as_dict()
-        scored = sorted(
-            (
-                (signal_distance(observed, vector), pos)
-                for pos, vector in self.radio_map
-            ),
-            key=lambda pair: pair[0],
-        )
-        nearest = scored[: self.k]
+        nearest = self._nearest(scan)
         weights = [1.0 / (distance + 1e-3) for distance, _pos in nearest]
         total = sum(weights)
         x = sum(w * pos.x_m for w, (_d, pos) in zip(weights, nearest)) / total
@@ -118,6 +149,38 @@ class FingerprintPositioningComponent(ProcessingComponent):
             estimate.distance_to(pos) for _d, pos in nearest
         )
         return estimate, max(spread, 1.0)
+
+    def _nearest(self, scan: WifiScan) -> List[Tuple[float, GridPosition]]:
+        """The ``k`` closest survey points as ``(distance, position)``.
+
+        Ordered by :func:`signal_distance`, ties in radio-map order:
+        ``heapq.nsmallest`` is documented equal to ``sorted(...)[:k]``.
+        """
+        scores = self._scores(scan.as_dict())
+        positions = self._positions
+        return [
+            (scores[i], positions[i])
+            for i in heapq.nsmallest(
+                self.k, range(len(scores)), key=scores.__getitem__
+            )
+        ]
+
+    def _scores(self, observed: Mapping[str, float]) -> List[float]:
+        """:func:`signal_distance` from ``observed`` to every survey point."""
+        if not observed.keys() <= self._bit.keys():
+            # APs no survey point hears: the dense rows lack their
+            # columns, so score pairwise (rare: a map covers its APs).
+            return [
+                signal_distance(observed, vector)
+                for _pos, vector in self.radio_map
+            ]
+        dense = self._dense(observed)
+        norms = list(map(math.dist, self._rows, repeat(dense)))
+        unions = map(
+            _popcount, map(or_, self._masks, repeat(self._mask(observed)))
+        )
+        totals = map(mul, norms, norms)
+        return list(map(math.sqrt, map(truediv, totals, unions)))
 
     def map_size(self) -> int:
         """Number of usable survey points (inspection)."""

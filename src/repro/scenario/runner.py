@@ -93,7 +93,10 @@ class ScenarioRunner:
         self.high_water = 0
         # Lanes untracked by churn take their queue counters with them;
         # fold them into running totals so drop accounting is cumulative.
+        # ``_retired_discarded`` counts the datums still queued in a lane
+        # when it is untracked: the engine discards them with the lane.
         self._retired_dropped = 0
+        self._retired_discarded = 0
         self._retired_rejected = 0
         self._retired_coalesced = 0
 
@@ -187,6 +190,7 @@ class ScenarioRunner:
                 self._retired_dropped += stats.get(
                     "dropped_oldest", 0
                 ) + stats.get("dropped_newest", 0)
+                self._retired_discarded += stats.get("depth", 0)
                 self._retired_rejected += stats.get("rejected", 0)
                 self._retired_coalesced += stats.get("coalesced", 0)
                 self.engine.untrack(device_id)
@@ -288,6 +292,7 @@ class ScenarioRunner:
             "high_water": self.high_water,
             "accepted": self.verdicts.get("accepted", 0),
             "dropped": dropped,
+            "discarded": self._retired_discarded,
             "coalesced": coalesced,
             "rejected": rejected,
             "alerts": self.alerts_delivered(),

@@ -656,6 +656,42 @@ class TestScenarioRunner:
         assert dropped_seen > 0
         assert runner.result()["dropped"] == dropped_seen
 
+    def test_untracked_queues_are_counted_as_discarded(self):
+        # E17's city (seed 11) at 100 devices, closed loop: churn
+        # untracks lanes that still hold datums.
+        config = CityConfig(
+            seed=11,
+            devices=100,
+            churn_rate=0.01,
+            bursts=(
+                BurstEvent("stadium", 40, 60, 1000.0, 1000.0, 800.0, factor=10),
+            ),
+        )
+        rules = (GeofenceRule("downtown", 1000.0, 1000.0, 400.0, trigger="both"),)
+        engine = PositioningEngine(
+            build_city_graph(rules), scheduler=RoundRobinScheduler(quantum=3)
+        )
+        untrack = engine.untrack
+        queued_at_untrack = []
+
+        def counting_untrack(target_id):
+            lane = untrack(target_id)
+            queued_at_untrack.append(lane.queue.depth)
+            return lane
+
+        engine.untrack = counting_untrack
+        runner = ScenarioRunner(
+            CityGenerator(config),
+            engine,
+            control=ControlLoop(default_controllers(max_capacity=256)),
+            capacity=8,
+        )
+        result = runner.run(160)
+        assert result["discarded"] == sum(queued_at_untrack) == 1518
+        assert result["submitted"] == 14652
+        parts = ("drained", "dropped", "discarded", "pending")
+        assert result["submitted"] == sum(result[key] for key in parts)
+
     def test_open_loop_ledger_is_empty(self):
         runner = small_runner(closed=False)
         runner.run(5)
