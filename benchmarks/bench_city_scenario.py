@@ -160,7 +160,7 @@ def test_e17_city_scenario(benchmark, results_writer, bench_json_writer):
         )
 
     by_controller = dict(
-        closed_runner.control.snapshot()["by_controller"]
+        closed_runner.control.describe()["by_controller"]
     )
     lines = [
         f"City scenario: seed {SEED}, {DEVICES} devices, {TICKS} ticks,"

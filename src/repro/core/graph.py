@@ -66,7 +66,6 @@ from repro.core.data import Datum
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.observability.instrumentation import ObservabilityHub
     from repro.robustness.supervision import Supervisor
-    from repro.runtime.engine import PositioningEngine
 
 
 class GraphError(Exception):
@@ -131,20 +130,12 @@ class ProcessingGraph(ComponentObserver):
         self._instrumentation: Optional["ObservabilityHub"] = None
         # Optional failure supervision; None keeps the hot path bare.
         self._supervisor: Optional["Supervisor"] = None
-        # Optional scale-out runtime engine (ingestion queues + fair
-        # scheduler); inspection-only -- never consulted on the per-datum
-        # hot path.
-        self._engine: Optional["PositioningEngine"] = None
-        # Optional ingestion gateway (wire validation + DLQ edge layer);
-        # inspection-only, like the engine slot.
-        self._gateway: Optional[Any] = None
-        # Optional durability manager (snapshot/restore/journal store);
-        # inspection-only, like the engine and gateway slots.
-        self._durability: Optional[Any] = None
-        # Optional scenario runner + closed-loop controller set
-        # (repro.scenario); inspection-only, like the slots above.
-        self._scenario: Optional[Any] = None
-        self._control: Optional[Any] = None
+        # Installed subsystems by key ("runtime", "gateway", "durability",
+        # "scenario", "control", ...; see PerPos._install).  Never
+        # consulted on the per-datum hot path: the mapping only exists so
+        # the PSL and the infrastructure report can reach them.  The hub
+        # and the supervisor appear here too, mirrored by their setters.
+        self.subsystems: Dict[str, Any] = {}
         # -- derived indexes (dispatch fast path) -------------------------
         # Bumped by every structural mutation; compared by in-flight
         # routing loops to detect reentrant manipulation.
@@ -175,6 +166,7 @@ class ProcessingGraph(ComponentObserver):
         """
         previous = self._instrumentation
         self._instrumentation = hub
+        self._mirror("observability", hub)
         if hub is not None:
             hub.topology_changed(
                 len(self._components), len(self._connections), self._version
@@ -203,101 +195,16 @@ class ProcessingGraph(ComponentObserver):
         if previous is not None:
             previous._graph = None
         self._supervisor = supervisor
+        self._mirror("supervision", supervisor)
         if supervisor is not None:
             supervisor._graph = self
         return previous
 
-    # -- scale-out runtime -----------------------------------------------------
-
-    @property
-    def engine(self) -> Optional["PositioningEngine"]:
-        """The installed runtime engine, or None while scale-out is off."""
-        return self._engine
-
-    def set_engine(
-        self, engine: Optional["PositioningEngine"]
-    ) -> Optional["PositioningEngine"]:
-        """Install (or, with None, remove) the scale-out runtime engine.
-
-        Returns the previously installed engine.  Unlike the hub and the
-        supervisor the engine sits *in front of* the graph -- queues and
-        the scheduler feed :meth:`route_batch` -- so installing one costs
-        the per-datum path nothing; the reference only exists so the PSL
-        and the infrastructure report can reach ingestion state.
-        """
-        previous = self._engine
-        self._engine = engine
-        return previous
-
-    @property
-    def gateway(self) -> Optional[Any]:
-        """The installed ingestion gateway, or None while the edge is off."""
-        return self._gateway
-
-    def set_gateway(self, gateway: Optional[Any]) -> Optional[Any]:
-        """Install (or, with None, remove) the ingestion gateway.
-
-        Like the engine, the gateway sits *in front of* the graph (it
-        feeds the engine's lanes, which feed :meth:`route_batch`), so
-        the slot is inspection-only: it exists so the PSL ``describe``
-        and the infrastructure report can reach wire-format, admission
-        and dead-letter state without threading a second handle around.
-        """
-        previous = self._gateway
-        self._gateway = gateway
-        return previous
-
-    @property
-    def durability(self) -> Optional[Any]:
-        """The installed durability manager, or None while state is volatile."""
-        return self._durability
-
-    def set_durability(self, durability: Optional[Any]) -> Optional[Any]:
-        """Install (or, with None, remove) the durability manager.
-
-        Inspection-only like the engine and gateway slots: the manager
-        journals through the engine and persists through its store; the
-        graph reference only exists so the PSL and the infrastructure
-        report can reach snapshot/journal state.
-        """
-        previous = self._durability
-        self._durability = durability
-        return previous
-
-    @property
-    def scenario(self) -> Optional[Any]:
-        """The installed scenario runner, or None while no scenario runs."""
-        return self._scenario
-
-    def set_scenario(self, scenario: Optional[Any]) -> Optional[Any]:
-        """Install (or, with None, remove) the scenario runner.
-
-        Inspection-only like the engine/gateway/durability slots: the
-        runner drives the engine from outside; the graph reference only
-        exists so ``psl.scenario()`` and the infrastructure report can
-        reach workload state (devices, churn, bursts, progress).
-        """
-        previous = self._scenario
-        self._scenario = scenario
-        return previous
-
-    @property
-    def control(self) -> Optional[Any]:
-        """The installed control loop, or None while adaptation is manual."""
-        return self._control
-
-    def set_control(self, control: Optional[Any]) -> Optional[Any]:
-        """Install (or, with None, remove) the closed-loop controller set.
-
-        Inspection-only: controllers actuate through the existing
-        adaptation seams (``set_backpressure``, EnTracked thresholds,
-        supervision policies, shard rebalancing); the slot exists so
-        ``psl.controllers()`` and the report can read the decision
-        ledger.
-        """
-        previous = self._control
-        self._control = control
-        return previous
+    def _mirror(self, key: str, subsystem: Optional[Any]) -> None:
+        if subsystem is None:
+            self.subsystems.pop(key, None)
+        else:
+            self.subsystems[key] = subsystem
 
     # -- derived indexes -------------------------------------------------------
 

@@ -48,6 +48,21 @@ DEFAULT_KIND_MAP: Dict[str, str] = {
 }
 
 
+#: The service each installed subsystem is published under, by key.  The
+#: key is also the subsystem's name in ``graph.subsystems`` and in the
+#: infrastructure report; ``control`` is the scenario's control loop.
+SERVICES: Dict[str, str] = {
+    "observability": "perpos.ObservabilityHub",
+    "supervision": "perpos.Supervisor",
+    "runtime": "perpos.PositioningEngine",
+    "sharding": "perpos.ShardedEngine",
+    "gateway": "perpos.IngestionGateway",
+    "durability": "perpos.DurabilityManager",
+    "scenario": "perpos.ScenarioRunner",
+    "control": "perpos.ControlLoop",
+}
+
+
 class PerPos:
     """One middleware instance: graph + layers + clock + sensor pumping."""
 
@@ -59,17 +74,53 @@ class PerPos:
         self.positioning = PositioningLayer()
         self.framework = Framework()
         self._sensors: List[Tuple[SimulatedSensor, SourceComponent, Callable]] = []
-        self._sharding: Optional[ShardedEngine] = None
-        self._sharding_registration: Optional[ServiceRegistration] = None
-        self._gateway_registration: Optional[ServiceRegistration] = None
-        self._durability_registration: Optional[ServiceRegistration] = None
-        self._scenario_registration: Optional[ServiceRegistration] = None
+        # Service registrations of the installed subsystems, by key.
+        self._registrations: Dict[str, ServiceRegistration] = {}
         # The layers are themselves services, as in the OSGi realisation.
         registry = self.framework.registry
         registry.register("perpos.ProcessingGraph", self.graph)
         registry.register("perpos.ProcessStructureLayer", self.psl)
         registry.register("perpos.ProcessChannelLayer", self.pcl)
         registry.register("perpos.PositioningLayer", self.positioning)
+
+    # -- the subsystem seam ------------------------------------------------------
+    #
+    # Every enable_X() first calls disable_X(), so re-enabling is exactly
+    # disable + enable, then publishes the new object with _install.
+    # Every disable_X() starts with _uninstall, which refuses while
+    # another installed subsystem uses the one being removed.
+
+    def _install(self, key: str, subsystem: Any) -> Any:
+        """Publish ``subsystem`` as ``graph.subsystems[key]`` and as a service."""
+        self.graph.subsystems[key] = subsystem
+        self._registrations[key] = self.framework.registry.register(
+            SERVICES[key], subsystem
+        )
+        return subsystem
+
+    def _uninstall(self, key: str) -> Optional[Any]:
+        """Withdraw the ``key`` subsystem's slot and service; returns it.
+
+        Raises ValueError while another installed subsystem feeds or
+        journals through it (its ``engine`` is this object: a gateway
+        feeding the runtime or the sharded coordinator, a durability
+        manager journaling through the runtime).  Replacing it would
+        leave that subsystem working against a stopped object.
+        """
+        subsystem = self.graph.subsystems.get(key)
+        if subsystem is None:
+            return None
+        for user_key, user in self.graph.subsystems.items():
+            if getattr(user, "engine", None) is subsystem:
+                raise ValueError(
+                    f"the {user_key} uses the {key}: disable_{user_key}()"
+                    f" before replacing or disabling the {key}"
+                )
+        del self.graph.subsystems[key]
+        registration = self._registrations.pop(key, None)
+        if registration is not None:
+            registration.unregister()
+        return subsystem
 
     # -- observability -----------------------------------------------------------
 
@@ -91,19 +142,18 @@ class PerPos:
         replaces the previous hub; pass an explicit ``registry`` to keep
         accumulating into existing series.
         """
+        self.disable_observability()
         hub = ObservabilityHub(
             registry=registry,
             time_fn=lambda: self.clock.now,
             tracing=tracing,
         )
         self.graph.set_instrumentation(hub)
-        registry_service = self.framework.registry
-        if registry_service.find_service("perpos.ObservabilityHub") is None:
-            registry_service.register("perpos.ObservabilityHub", hub)
-        return hub
+        return self._install("observability", hub)
 
     def disable_observability(self) -> Optional[ObservabilityHub]:
         """Remove the hub (recorded metrics stay readable on it)."""
+        self._uninstall("observability")
         return self.graph.set_instrumentation(None)
 
     # -- supervision -------------------------------------------------------------
@@ -123,15 +173,14 @@ class PerPos:
         deterministic.  Re-enabling replaces the previous supervisor
         (and its failure history).
         """
+        self.disable_supervision()
         supervisor = Supervisor(policy, time_fn=lambda: self.clock.now)
         self.graph.set_supervisor(supervisor)
-        registry_service = self.framework.registry
-        if registry_service.find_service("perpos.Supervisor") is None:
-            registry_service.register("perpos.Supervisor", supervisor)
-        return supervisor
+        return self._install("supervision", supervisor)
 
     def disable_supervision(self) -> Optional[Supervisor]:
         """Remove the supervisor (its failure records stay readable)."""
+        self._uninstall("supervision")
         return self.graph.set_supervisor(None)
 
     # -- scale-out runtime -------------------------------------------------------
@@ -139,7 +188,7 @@ class PerPos:
     @property
     def runtime(self) -> Optional[PositioningEngine]:
         """The installed engine, or None while the runtime is disabled."""
-        return self.graph.engine
+        return self.graph.subsystems.get("runtime")
 
     def enable_runtime(
         self, scheduler: Optional[FairScheduler] = None
@@ -148,20 +197,14 @@ class PerPos:
 
         The engine shares the middleware's simulation clock, so
         ``engine.start(interval)`` drain rounds interleave
-        deterministically with sensor pumping.  Re-enabling replaces
-        the previous engine (and discards its lanes); stop it first if
-        it was started.
+        deterministically with sensor pumping.  Re-enabling stops and
+        replaces the previous engine (discarding its lanes); it raises
+        ValueError while a gateway feeds that engine or durability
+        journals through it -- disable those first.
         """
-        previous = self.graph.engine
-        if previous is not None:
-            previous.stop()
-        engine = PositioningEngine(
-            self.graph, clock=self.clock, scheduler=scheduler
-        )
-        registry_service = self.framework.registry
-        if registry_service.find_service("perpos.PositioningEngine") is None:
-            registry_service.register("perpos.PositioningEngine", engine)
-        return engine
+        self.disable_runtime()
+        engine = PositioningEngine(self.graph, clock=self.clock, scheduler=scheduler)
+        return self._install("runtime", engine)
 
     def disable_runtime(self) -> Optional[PositioningEngine]:
         """Remove the engine (its lane statistics stay readable).
@@ -169,7 +212,7 @@ class PerPos:
         A started engine is stopped first, so no drain rounds fire
         after the runtime is disabled.
         """
-        engine = self.graph.set_engine(None)
+        engine = self._uninstall("runtime")
         if engine is not None:
             engine.stop()
         return engine
@@ -179,7 +222,7 @@ class PerPos:
     @property
     def sharding(self) -> Optional[ShardedEngine]:
         """The installed sharded engine, or None while sharding is off."""
-        return self._sharding
+        return self.graph.subsystems.get("sharding")
 
     def enable_sharding(
         self, recipe: GraphRecipe, shards: int, **kwargs: object
@@ -198,25 +241,15 @@ class PerPos:
         ``supervision``, ...).  Re-enabling closes the previous
         coordinator first.
         """
-        previous = self._sharding
-        if previous is not None:
-            previous.close()
+        self.disable_sharding()
         engine = ShardedEngine(
             recipe,
             shards,
             clock=self.clock,
             **kwargs,  # type: ignore[arg-type]
         )
-        self._sharding = engine
-        engine.durability = self.graph.durability
-        # Re-register unconditionally: a stale registration would hand
-        # registry consumers the previous, now-closed coordinator.
-        if self._sharding_registration is not None:
-            self._sharding_registration.unregister()
-        self._sharding_registration = self.framework.registry.register(
-            "perpos.ShardedEngine", engine
-        )
-        return engine
+        engine.durability = self.durability
+        return self._install("sharding", engine)
 
     def disable_sharding(self) -> Optional[ShardedEngine]:
         """Stop and close the sharded runtime, releasing its workers.
@@ -225,11 +258,7 @@ class PerPos:
         shard state becomes unreadable; the coordinator's own counters
         and failure records stay readable on the returned object.
         """
-        engine = self._sharding
-        self._sharding = None
-        if self._sharding_registration is not None:
-            self._sharding_registration.unregister()
-            self._sharding_registration = None
+        engine = self._uninstall("sharding")
         if engine is not None:
             engine.close()
         return engine
@@ -239,7 +268,7 @@ class PerPos:
     @property
     def gateway(self) -> Optional[IngestionGateway]:
         """The installed ingestion gateway, or None while the edge is off."""
-        return self.graph.gateway
+        return self.graph.subsystems.get("gateway")
 
     def enable_gateway(
         self,
@@ -261,19 +290,18 @@ class PerPos:
         without rewiring.  Keyword arguments pass through to
         :class:`~repro.gateway.IngestionGateway` (``formats``,
         ``device_policy``, ``admission_capacity``, ``retry``,
-        ``max_age_s``, ...).  Re-enabling replaces (and closes) the
-        previous gateway.
+        ``max_age_s``, ...).  Re-enabling is :meth:`disable_gateway`
+        then enable: the previous gateway is closed, and with
+        durability enabled its dead letters carry over.
         """
         if engine is None:
-            engine = self._sharding if self._sharding is not None else self.graph.engine
+            engine = self.sharding if self.sharding is not None else self.runtime
         if engine is None:
             raise ValueError(
                 "no runtime to feed: enable_runtime() or enable_sharding()"
                 " before enable_gateway(), or pass engine= explicitly"
             )
-        previous = self.graph.gateway
-        if previous is not None:
-            previous.close()
+        self.disable_gateway()
         gateway = IngestionGateway(
             engine,
             source,
@@ -281,20 +309,12 @@ class PerPos:
             hub=lambda: self.graph.instrumentation,
             **kwargs,  # type: ignore[arg-type]
         )
-        self.graph.set_gateway(gateway)
-        # Re-register unconditionally: a stale registration would hand
-        # registry consumers the previous, now-closed gateway.
-        if self._gateway_registration is not None:
-            self._gateway_registration.unregister()
-        self._gateway_registration = self.framework.registry.register(
-            "perpos.IngestionGateway", gateway
-        )
-        manager = self.graph.durability
+        manager = self.durability
         if manager is not None:
             dlq_state = manager.load_dlq_state()
             if dlq_state is not None:
                 gateway.dlq.state_restore(dlq_state)
-        return gateway
+        return self._install("gateway", gateway)
 
     def disable_gateway(self) -> Optional[IngestionGateway]:
         """Close the ingestion edge (DLQ and counters stay readable).
@@ -304,12 +324,9 @@ class PerPos:
         rehydrates them -- a disable/enable cycle (or a crash between
         the two) no longer forfeits payloads awaiting replay-after-fix.
         """
-        gateway = self.graph.set_gateway(None)
-        if self._gateway_registration is not None:
-            self._gateway_registration.unregister()
-            self._gateway_registration = None
+        gateway = self._uninstall("gateway")
         if gateway is not None:
-            manager = self.graph.durability
+            manager = self.durability
             if manager is not None:
                 manager.save_dlq_state(gateway.dlq.state_snapshot())
             gateway.close()
@@ -320,7 +337,7 @@ class PerPos:
     @property
     def durability(self) -> Optional[DurabilityManager]:
         """The installed durability manager, or None while it is off."""
-        return self.graph.durability
+        return self.graph.subsystems.get("durability")
 
     def enable_durability(
         self,
@@ -336,46 +353,37 @@ class PerPos:
         warm handoff staging) and can snapshot/restore the full engine
         state -- lanes, queues, component state, breakers, DLQ records,
         metric counters.  ``snapshot_every`` auto-snapshots after that
-        many journal entries.  Re-enabling detaches the previous
-        manager (its store stays readable).
+        many journal entries.  The caller owns ``store``: it stays open
+        after :meth:`disable_durability`, and re-enabling on the same
+        store (say, to change ``snapshot_every``) keeps journaling into
+        it.
         """
-        engine = self.graph.engine
-        if engine is None:
+        if self.runtime is None:
             raise ValueError(
                 "no runtime to persist: enable_runtime() before"
                 " enable_durability()"
             )
-        previous = self.graph.durability
-        if previous is not None:
-            previous.detach()
+        self.disable_durability()
         manager = DurabilityManager(
             self.graph,
             store if store is not None else MemoryStateStore(),
             snapshot_every=snapshot_every,
         )
         manager.attach()
-        if self._sharding is not None:
-            self._sharding.durability = manager
-        # Re-register unconditionally: a stale registration would hand
-        # registry consumers the previous, now-detached manager.
-        if self._durability_registration is not None:
-            self._durability_registration.unregister()
-        self._durability_registration = self.framework.registry.register(
-            "perpos.DurabilityManager", manager
-        )
-        return manager
+        if self.sharding is not None:
+            self.sharding.durability = manager
+        return self._install("durability", manager)
 
     def disable_durability(self) -> Optional[DurabilityManager]:
-        """Detach durable state (the store's contents stay readable)."""
-        manager = self.graph.durability
-        if self._durability_registration is not None:
-            self._durability_registration.unregister()
-            self._durability_registration = None
-        if self._sharding is not None and self._sharding.durability is manager:
-            self._sharding.durability = None
+        """Detach durable state; the store stays open and readable."""
+        manager = self._uninstall("durability")
         if manager is not None:
+            if self.sharding is not None and self.sharding.durability is manager:
+                self.sharding.durability = None
             manager.detach()
         return manager
+
+    # -- scenario ------------------------------------------------------------------
 
     def enable_scenario(self, runner: Any) -> Any:
         """Install a scenario runner (and its control loop, if any).
@@ -383,29 +391,20 @@ class PerPos:
         The runner (:class:`repro.scenario.ScenarioRunner`) drives the
         workload from outside; installing it only publishes the
         inspection surfaces -- ``psl.scenario()``, ``psl.controllers()``
-        and the report's ``scenario:`` / ``control:`` sections -- plus a
-        ``perpos.ScenarioRunner`` service registration.  Re-enabling
-        replaces the previous runner.
+        and the report's ``scenario:`` / ``control:`` sections -- plus
+        ``perpos.ScenarioRunner`` / ``perpos.ControlLoop`` service
+        registrations.  Re-enabling replaces the previous runner.
         """
-        self.graph.set_scenario(runner)
-        self.graph.set_control(getattr(runner, "control", None))
-        # Re-register unconditionally: a stale registration would hand
-        # registry consumers the previous runner.
-        if self._scenario_registration is not None:
-            self._scenario_registration.unregister()
-        self._scenario_registration = self.framework.registry.register(
-            "perpos.ScenarioRunner", runner
-        )
-        return runner
+        self.disable_scenario()
+        control = getattr(runner, "control", None)
+        if control is not None:
+            self._install("control", control)
+        return self._install("scenario", runner)
 
     def disable_scenario(self) -> Optional[Any]:
         """Remove the scenario runner and control loop surfaces."""
-        runner = self.graph.set_scenario(None)
-        self.graph.set_control(None)
-        if self._scenario_registration is not None:
-            self._scenario_registration.unregister()
-            self._scenario_registration = None
-        return runner
+        self._uninstall("control")
+        return self._uninstall("scenario")
 
     def trace(self, position: Optional[Datum]) -> Optional[FlowTrace]:
         """The component path (with timestamps) behind a delivered datum.

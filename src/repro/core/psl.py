@@ -58,16 +58,16 @@ class ProcessStructureLayer:
         if supervisor is not None:
             info["health"] = supervisor.health(name)
             info["failures"] = supervisor.failure_count(name)
-        engine = self.graph.engine
+        engine = self.graph.subsystems.get("runtime")
         if engine is not None:
             lanes = engine.lanes_for_source(name)
             if lanes:
                 info["ingestion"] = {
                     lane.target_id: lane.stats() for lane in lanes
                 }
-        gateway = self.graph.gateway
+        gateway = self.graph.subsystems.get("gateway")
         if gateway is not None and gateway.source == name:
-            info["gateway"] = gateway.snapshot()
+            info["gateway"] = gateway.describe()
         return info
 
     def connections(self) -> List[Connection]:
@@ -131,7 +131,7 @@ class ProcessStructureLayer:
         mark, drop counters).  Empty while no engine is installed --
         like :meth:`component_metrics`, inspection degrades gracefully.
         """
-        engine = self.graph.engine
+        engine = self.graph.subsystems.get("runtime")
         if engine is None:
             return {}
         if name is not None:
@@ -157,7 +157,7 @@ class ProcessStructureLayer:
         installed -- unlike inspection, adaptation does not degrade
         silently.
         """
-        engine = self.graph.engine
+        engine = self.graph.subsystems.get("runtime")
         if engine is None:
             raise GraphError("no positioning engine installed")
         return engine.set_policy(
@@ -174,8 +174,8 @@ class ProcessStructureLayer:
         Empty while no gateway is installed -- inspection degrades
         gracefully, like :meth:`component_metrics`.
         """
-        gateway = self.graph.gateway
-        return gateway.snapshot() if gateway is not None else {}
+        gateway = self.graph.subsystems.get("gateway")
+        return gateway.describe() if gateway is not None else {}
 
     def scenario(self) -> Dict[str, Any]:
         """Reflective state of the installed scenario runner.
@@ -184,8 +184,8 @@ class ProcessStructureLayer:
         the lane verdict totals.  Empty while no scenario is installed
         -- inspection degrades gracefully, like :meth:`gateway`.
         """
-        scenario = self.graph.scenario
-        return scenario.snapshot() if scenario is not None else {}
+        scenario = self.graph.subsystems.get("scenario")
+        return scenario.describe() if scenario is not None else {}
 
     def controllers(self) -> Dict[str, Any]:
         """Reflective state of the installed closed-loop control set.
@@ -195,15 +195,15 @@ class ProcessStructureLayer:
         surface for self-adaptation: what the system changed and why.
         Empty while no control loop is installed.
         """
-        control = self.graph.control
-        return control.snapshot() if control is not None else {}
+        control = self.graph.subsystems.get("control")
+        return control.describe() if control is not None else {}
 
     def decision_ledger(self) -> List[Dict[str, Any]]:
         """The bounded controller decision ledger, newest last.
 
         Empty while no control loop is installed.
         """
-        control = self.graph.control
+        control = self.graph.subsystems.get("control")
         return control.ledger() if control is not None else []
 
     def dead_letters(
@@ -215,7 +215,7 @@ class ProcessStructureLayer:
         attempts, state, next_attempt_s).  Empty while no gateway is
         installed.
         """
-        gateway = self.graph.gateway
+        gateway = self.graph.subsystems.get("gateway")
         if gateway is None:
             return []
         return gateway.dead_letters(state)
@@ -230,7 +230,7 @@ class ProcessStructureLayer:
         failure).  Raises while no gateway is installed -- adaptation
         does not degrade silently, mirroring :meth:`set_backpressure`.
         """
-        gateway = self.graph.gateway
+        gateway = self.graph.subsystems.get("gateway")
         if gateway is None:
             raise GraphError("no ingestion gateway installed")
         return gateway.replay(seq, ignore_backoff=ignore_backoff)
@@ -247,7 +247,7 @@ class ProcessStructureLayer:
         Raises while no durability manager is installed -- like
         :meth:`set_backpressure`, adaptation does not degrade silently.
         """
-        manager = self.graph.durability
+        manager = self.graph.subsystems.get("durability")
         if manager is None:
             raise GraphError("no durability manager installed")
         return manager.snapshot()
@@ -259,7 +259,7 @@ class ProcessStructureLayer:
         after it, and returns the number of entries replayed.  Raises
         while no durability manager is installed.
         """
-        manager = self.graph.durability
+        manager = self.graph.subsystems.get("durability")
         if manager is None:
             raise GraphError("no durability manager installed")
         return manager.restore()
@@ -272,7 +272,7 @@ class ProcessStructureLayer:
         durability manager is installed -- inspection degrades
         gracefully, like :meth:`component_metrics`.
         """
-        manager = self.graph.durability
+        manager = self.graph.subsystems.get("durability")
         return manager.migrations() if manager is not None else []
 
     # -- supervision (failure seams) -----------------------------------------

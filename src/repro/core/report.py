@@ -11,13 +11,20 @@ filter rejection rates, interpreter yield, channel feature failures.
 Components advertise seam indicators by convention: any public
 zero-argument method listed in ``SEAM_PROBES`` plus any plain numeric
 attribute listed in ``SEAM_COUNTERS`` is collected if present.
+
+Installed subsystems (``graph.subsystems``) each render their own
+section: :data:`SECTIONS` fixes the order, the title and the line shown
+while a subsystem is absent; the subsystem's ``describe()`` is its
+snapshot entry and its ``report_lines(described)`` renders the section
+from that entry.  This module reads no subsystem's keys.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import TYPE_CHECKING, Any, Dict, List
 
-from repro.core.middleware import PerPos
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
+    from repro.core.middleware import PerPos
 
 #: Zero-argument methods whose return value is a seam indicator.
 SEAM_PROBES = (
@@ -49,6 +56,19 @@ SEAM_COUNTERS = (
     "alerts_raised",
 )
 
+#: Subsystem sections in report order: (key in ``graph.subsystems``,
+#: section title, line shown while nothing is installed under the key).
+SECTIONS = (
+    ("supervision", "supervision:", "(supervision disabled)"),
+    ("runtime", "ingestion:", "(no positioning engine)"),
+    ("gateway", "gateway:", "(no ingestion gateway)"),
+    ("sharding", "sharding:", "(sharding disabled)"),
+    ("durability", "durability:", "(durability disabled)"),
+    ("scenario", "scenario:", "(no scenario installed)"),
+    ("control", "control:", "(no control loop installed)"),
+    ("observability", "live metrics:", "(observability disabled)"),
+)
+
 
 def component_seams(component: Any) -> Dict[str, Any]:
     """Collect the seam indicators one component exposes."""
@@ -72,8 +92,14 @@ def component_seams(component: Any) -> Dict[str, Any]:
     return seams
 
 
-def infrastructure_snapshot(middleware: PerPos) -> Dict[str, Any]:
-    """Structured snapshot of the whole positioning infrastructure."""
+def infrastructure_snapshot(middleware: "PerPos") -> Dict[str, Any]:
+    """Structured snapshot of the whole positioning infrastructure.
+
+    Besides the structural sections, one entry per :data:`SECTIONS`
+    key: the installed subsystem's ``describe()``, or None while it is
+    absent.
+    """
+    subsystems = middleware.graph.subsystems
     supervisor = middleware.graph.supervisor
     components = []
     for component in middleware.graph.components():
@@ -93,8 +119,7 @@ def infrastructure_snapshot(middleware: PerPos) -> Dict[str, Any]:
             latest.logical_time if latest is not None else 0
         )
         channels.append(info)
-    hub = middleware.graph.instrumentation
-    return {
+    snapshot: Dict[str, Any] = {
         "components": components,
         "connections": [
             f"{c.producer} -> {c.consumer}.{c.port}"
@@ -104,61 +129,14 @@ def infrastructure_snapshot(middleware: PerPos) -> Dict[str, Any]:
         "providers": [
             p.describe() for p in middleware.positioning.providers()
         ],
-        # Runtime behaviour (None while observability is disabled): the
-        # live twin of the structural sections above.
-        "observability": hub.snapshot() if hub is not None else None,
-        # Failure seams (None while supervision is disabled): policy,
-        # per-component breaker health, and the reified failure ring.
-        "supervision": (
-            supervisor.snapshot() if supervisor is not None else None
-        ),
-        # Scale-out runtime (None while no engine is installed):
-        # scheduler, drain rounds, and per-target ingestion lanes.
-        "runtime": (
-            middleware.graph.engine.snapshot()
-            if middleware.graph.engine is not None
-            else None
-        ),
-        # Sharded runtime (None while sharding is disabled): placement,
-        # per-shard health/engine state, and contained failures.
-        "sharding": (
-            middleware.sharding.snapshot()
-            if middleware.sharding is not None
-            else None
-        ),
-        # Ingestion edge (None while no gateway is installed): wire
-        # formats, per-adapter counters, admission queue, DLQ state.
-        "gateway": (
-            middleware.graph.gateway.snapshot()
-            if middleware.graph.gateway is not None
-            else None
-        ),
-        # Durable state (None while no durability manager is
-        # installed): store backend, snapshot/journal counters, and
-        # the warm-handoff migration history.
-        "durability": (
-            middleware.durability.describe()
-            if middleware.durability is not None
-            else None
-        ),
-        # City scenario workload (None while no runner is installed):
-        # population, churn/burst/zone counters, run progress.
-        "scenario": (
-            middleware.graph.scenario.snapshot()
-            if middleware.graph.scenario is not None
-            else None
-        ),
-        # Closed-loop adaptation (None while no control loop is
-        # installed): controllers, decision counts, recent ledger tail.
-        "control": (
-            middleware.graph.control.snapshot()
-            if middleware.graph.control is not None
-            else None
-        ),
     }
+    for key, _title, _absent in SECTIONS:
+        subsystem = subsystems.get(key)
+        snapshot[key] = subsystem.describe() if subsystem is not None else None
+    return snapshot
 
 
-def render_report(middleware: PerPos) -> str:
+def render_report(middleware: "PerPos") -> str:
     """Human-readable infrastructure report."""
     snapshot = infrastructure_snapshot(middleware)
     lines: List[str] = ["POSITIONING INFRASTRUCTURE", ""]
@@ -182,7 +160,7 @@ def render_report(middleware: PerPos) -> str:
         if not component["seams"]:
             continue
         rendered = ", ".join(
-            f"{key}={_fmt(value)}"
+            f"{key}={fmt(value)}"
             for key, value in sorted(component["seams"].items())
         )
         lines.append(f"  {component['name']}: {rendered}")
@@ -193,215 +171,19 @@ def render_report(middleware: PerPos) -> str:
             f"  {provider['name']}: kinds={provider['kinds']}"
             f" features={provider['features']}"
         )
-    supervision = snapshot["supervision"]
-    lines.append("")
-    lines.append("supervision:")
-    if supervision is None:
-        lines.append("  (supervision disabled)")
-    else:
-        lines.append(f"  policy: {supervision['policy']['mode']}")
-        if not supervision["components"]:
-            lines.append("  all components healthy")
-        for name, state in sorted(supervision["components"].items()):
-            lines.append(
-                f"  {name}: {state['health']}"
-                f" (failures={state['failures']},"
-                f" skipped={state['skipped']}, trips={state['trips']})"
-            )
-        for record in supervision["records"][-5:]:
-            lines.append(
-                f"    ! failure #{record['seq']} {record['component']}"
-                f".{record['port']}: {record['error_type']}:"
-                f" {record['message']}"
-            )
-    runtime = snapshot["runtime"]
-    lines.append("")
-    lines.append("ingestion:")
-    if runtime is None:
-        lines.append("  (no positioning engine)")
-    else:
-        scheduler = runtime["scheduler"]
-        detail = ", ".join(
-            f"{key}={_fmt(value)}"
-            for key, value in sorted(scheduler.items())
-            if key != "type"
-        )
-        lines.append(
-            f"  scheduler: {scheduler['type']}"
-            + (f" ({detail})" if detail else "")
-            + f"; rounds={runtime['rounds']},"
-            f" drained={runtime['drained_total']},"
-            f" pending={runtime['pending']}"
-        )
-        for target_id, lane in sorted(runtime["lanes"].items()):
-            dropped = lane["dropped_oldest"] + lane["dropped_newest"]
-            lines.append(
-                f"  {target_id} @{lane['source']}: {lane['policy']}"
-                f" depth={lane['depth']}/{lane['capacity']}"
-                f" (hw={lane['high_water']}),"
-                f" accepted={lane['accepted']}, dropped={dropped},"
-                f" rejected={lane['rejected']},"
-                f" coalesced={lane['coalesced']}"
-            )
-    gateway = snapshot["gateway"]
-    lines.append("")
-    lines.append("gateway:")
-    if gateway is None:
-        lines.append("  (no ingestion gateway)")
-    else:
-        lines.append(
-            f"  source={gateway['source']},"
-            f" formats={gateway['formats']},"
-            f" policy={gateway['device_policy']['policy']},"
-            f" devices={gateway['devices']}"
-        )
-        lines.append(
-            f"  submitted={gateway['submitted']},"
-            f" accepted={gateway['accepted']},"
-            f" rejected={gateway['rejected']},"
-            f" shed={gateway['shed']},"
-            f" rate_limited={gateway['rate_limited']},"
-            f" pending={gateway['pending']}"
-        )
-        limiter = gateway["rate_limit"]
-        if limiter is not None:
-            lines.append(
-                f"  rate limit: {_fmt(limiter['rate'])}/s"
-                f" (burst {_fmt(limiter['burst'])}),"
-                f" devices={limiter['keys']},"
-                f" allowed={limiter['allowed']},"
-                f" limited={limiter['limited']}"
-            )
-        dlq = gateway["dlq"]
-        lines.append(
-            f"  dlq: depth={dlq['depth']}/{dlq['capacity']}"
-            f" (evicted={dlq['evicted']}),"
-            f" replayed={dlq['total_replayed']},"
-            f" exhausted={dlq['total_exhausted']}"
-        )
-        for stage, count in dlq["by_stage"].items():
-            lines.append(f"    {stage}: {count}")
-    sharding = snapshot["sharding"]
-    lines.append("")
-    lines.append("sharding:")
-    if sharding is None:
-        lines.append("  (sharding disabled)")
-    else:
-        placement = sharding["placement"]
-        lines.append(
-            f"  {sharding['shards']} shards ({sharding['executor']}),"
-            f" placement={placement['type']};"
-            f" targets={sharding['targets']},"
-            f" rounds={sharding['rounds']},"
-            f" drained={sharding['drained_total']},"
-            f" pending={sharding['pending']}"
-        )
-        for entry in sharding["per_shard"]:
-            engine_snap = entry["engine"]
-            if engine_snap is None:
-                detail = "(unreadable)"
-            else:
-                detail = (
-                    f"lanes={len(engine_snap['lanes'])},"
-                    f" drained={engine_snap['drained_total']},"
-                    f" pending={engine_snap['pending']}"
-                )
-                if engine_snap["last_drain_truncated"]:
-                    detail += " TRUNCATED"
-            line = f"  shard {entry['shard']}: {entry['status']}, {detail}"
-            lines.append(line)
-            if entry["error"]:
-                lines.append(f"    ! {entry['error']}")
-    durability = snapshot["durability"]
-    lines.append("")
-    lines.append("durability:")
-    if durability is None:
-        lines.append("  (durability disabled)")
-    else:
-        store = durability["store"]
-        every = durability["snapshot_every"]
-        lines.append(
-            f"  store={store['backend']}"
-            f" (snapshots={store['snapshots']},"
-            f" entries={store['entries']});"
-            f" auto_snapshot="
-            + (f"every {every} entries" if every else "off")
-        )
-        lines.append(
-            f"  snapshots_taken={durability['snapshots_taken']}"
-            f" (last={durability['last_snapshot_bytes']}B),"
-            f" restores={durability['restores']},"
-            f" migrations={durability['migrations']}"
-        )
-    scenario = snapshot["scenario"]
-    lines.append("")
-    lines.append("scenario:")
-    if scenario is None:
-        lines.append("  (no scenario installed)")
-    else:
-        generator = scenario["generator"]
-        progress = scenario["progress"]
-        loop = "closed" if scenario["closed_loop"] else "open"
-        lines.append(
-            f"  seed={generator['seed']}, devices={generator['devices']}"
-            f" (joined={generator['joined_total']},"
-            f" left={generator['left_total']}),"
-            f" loop={loop}"
-        )
-        lines.append(
-            f"  ticks={progress['ticks']},"
-            f" submitted={progress['submitted']},"
-            f" drained={progress['drained']},"
-            f" pending={progress['pending']},"
-            f" high_water={progress['high_water']}"
-        )
-        lines.append(
-            f"  suppressed_fixes={generator['suppressed_total']},"
-            f" zone_lost={generator['zone_lost_total']},"
-            f" burst_extra={generator['burst_extra_total']},"
-            f" gps_threshold_m={_fmt(generator['gps_threshold_m'])}"
-        )
-    control = snapshot["control"]
-    lines.append("")
-    lines.append("control:")
-    if control is None:
-        lines.append("  (no control loop installed)")
-    else:
-        names = ", ".join(c["name"] for c in control["controllers"]) or "-"
-        lines.append(
-            f"  controllers=[{names}],"
-            f" decisions={control['decisions_total']},"
-            f" ledger={control['ledger_depth']}/{control['ledger_limit']}"
-        )
-        for record in control["recent"]:
-            target = f" {record['target']}" if record.get("target") else ""
-            lines.append(
-                f"    t={record['tick']} {record['controller']}:"
-                f" {record['action']}{target} ({record['reason']})"
-            )
-    observability = snapshot["observability"]
-    lines.append("")
-    lines.append("live metrics:")
-    if observability is None:
-        lines.append("  (observability disabled)")
-    else:
-        for name, stats in sorted(observability["components"].items()):
-            parts = [
-                f"in={stats.get('items_in', 0)}",
-                f"out={stats.get('items_out', 0)}",
-            ]
-            if stats.get("items_dropped"):
-                parts.append(f"dropped={stats['items_dropped']}")
-            if stats.get("errors"):
-                parts.append(f"errors={stats['errors']}")
-            latency = stats.get("latency")
-            if latency and latency["count"]:
-                parts.append(f"mean_latency_s={_fmt(latency['mean'])}")
-            lines.append(f"  {name}: " + ", ".join(parts))
+    for key, title, absent in SECTIONS:
+        section = snapshot[key]
+        lines += ["", title]
+        if section is None:
+            lines.append(f"  {absent}")
+        else:
+            subsystem = middleware.graph.subsystems[key]
+            lines += subsystem.report_lines(section)
     return "\n".join(lines)
 
 
-def _fmt(value: Any) -> str:
+def fmt(value: Any) -> str:
+    """A report figure: floats to three significant digits."""
     if isinstance(value, float):
         return f"{value:.3g}"
     return str(value)

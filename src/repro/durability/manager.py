@@ -15,8 +15,8 @@ at every drain boundary.
 :class:`DurabilityManager` ties it together: it owns the store, attaches
 the journal to the engine, auto-snapshots every ``snapshot_every``
 entries, records warm-handoff migrations, and surfaces everything to
-the PSL and the infrastructure report through the graph's durability
-slot.
+the PSL and the infrastructure report as the graph's ``durability``
+subsystem.
 """
 
 from __future__ import annotations
@@ -261,6 +261,8 @@ class DurabilityManager:
         self.store = store
         self.snapshot_every = snapshot_every
         self.journal: Optional[DurabilityJournal] = None
+        #: The engine the journal is attached to (None while detached).
+        self.engine: Optional["PositioningEngine"] = None
         self.snapshots_taken = 0
         self.restores = 0
         self.last_snapshot_bytes = 0
@@ -277,20 +279,25 @@ class DurabilityManager:
             snapshot_fn=self.snapshot,
         )
         engine.journal = self.journal
-        self.graph.set_durability(self)
+        self.engine = engine
+        self.graph.subsystems["durability"] = self
 
     def detach(self) -> None:
-        """Remove the journal and release the graph slot; store stays."""
-        engine = self.graph.engine
+        """Remove the journal and release the graph slot.
+
+        The store stays open and readable: the caller owns it, and
+        every backend has persisted each record by the time it returns.
+        """
+        engine = self.engine
         if engine is not None and engine.journal is self.journal:
             engine.journal = None
+        self.engine = None
         self.journal = None
-        if self.graph.durability is self:
-            self.graph.set_durability(None)
-        self.store.close()
+        if self.graph.subsystems.get("durability") is self:
+            del self.graph.subsystems["durability"]
 
     def _engine(self) -> "PositioningEngine":
-        engine = self.graph.engine
+        engine = self.graph.subsystems.get("runtime")
         if engine is None:
             raise DurabilityError(
                 "no positioning engine installed; durability journals"
@@ -304,7 +311,7 @@ class DurabilityManager:
         """Persist one full checkpoint; returns summary info."""
         engine = self._engine()
         state = capture_state(
-            self.graph, engine, gateway=self.graph.gateway
+            self.graph, engine, gateway=self.graph.subsystems.get("gateway")
         )
         n_bytes = self.store.save_snapshot(encode_value(state))
         self.snapshots_taken += 1
@@ -313,7 +320,8 @@ class DurabilityManager:
             self.journal.since_snapshot = 0
         hub = self.graph.instrumentation
         if hub is not None:
-            hub.durability_snapshot(n_bytes)
+            hub.counter("durability_snapshots").inc()
+            hub.gauge("snapshot_bytes").set(n_bytes)
         return {
             "bytes": n_bytes,
             "lanes": len(state["lanes"]),
@@ -325,12 +333,14 @@ class DurabilityManager:
         """Rebuild the engine from the store; returns replayed entries."""
         engine = self._engine()
         replayed = restore_from_store(
-            self.graph, engine, self.store, gateway=self.graph.gateway
+            self.graph, engine, self.store, gateway=self.graph.subsystems.get("gateway")
         )
         self.restores += 1
         hub = self.graph.instrumentation
         if hub is not None:
-            hub.durability_restore(replayed)
+            hub.counter("durability_restores").inc()
+            if replayed:
+                hub.counter("restore_replayed").inc(replayed)
         return replayed
 
     # -- gateway DLQ persistence (survives disable/enable cycles) ----------
@@ -356,7 +366,8 @@ class DurabilityManager:
             del self._migrations[: len(self._migrations) - MAX_MIGRATIONS]
         hub = self.graph.instrumentation
         if hub is not None:
-            hub.durability_migration(info.get("pause_s", 0.0))
+            hub.counter("migrations_completed").inc()
+            hub.histogram("handoff_pause_ticks").observe(info.get("pause_s", 0.0))
 
     def migrations(self) -> List[Dict[str, Any]]:
         return [dict(info) for info in self._migrations]
@@ -376,3 +387,20 @@ class DurabilityManager:
                 self.journal.describe() if self.journal is not None else None
             ),
         }
+
+    @staticmethod
+    def report_lines(described: Dict[str, Any]) -> List[str]:
+        """The report's ``durability:`` section from :meth:`describe`."""
+        store = described["store"]
+        every = described["snapshot_every"]
+        auto = f"every {every} entries" if every else "off"
+        return [
+            f"  store={store['backend']}"
+            f" (snapshots={store['snapshots']},"
+            f" entries={store['entries']});"
+            f" auto_snapshot={auto}",
+            f"  snapshots_taken={described['snapshots_taken']}"
+            f" (last={described['last_snapshot_bytes']}B),"
+            f" restores={described['restores']},"
+            f" migrations={described['migrations']}",
+        ]

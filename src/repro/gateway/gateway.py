@@ -43,6 +43,7 @@ from __future__ import annotations
 import time as _time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
+from repro.core.report import fmt
 from repro.runtime import queues
 from repro.runtime.queues import IngestionQueue
 from repro.services.remote import RetryPolicy
@@ -401,7 +402,7 @@ class IngestionGateway:
                     adapter=adapter_name,
                 )
                 if hub is not None:
-                    hub.gateway_event(adapter_name, "rejected")
+                    hub.counter("gateway_rejected", adapter=adapter_name).inc()
                 continue
             if verdict in (queues.ACCEPTED, queues.COALESCED):
                 self.accepted += 1
@@ -409,7 +410,7 @@ class IngestionGateway:
                 if adapter is not None:
                     adapter.accepted += 1
                 if hub is not None:
-                    hub.gateway_event(adapter_name, "accepted")
+                    hub.counter("gateway_accepted", adapter=adapter_name).inc()
             else:
                 self._shed_datum(datum, "ingest", f"lane verdict {verdict}")
         self._sync_gauges()
@@ -611,18 +612,18 @@ class IngestionGateway:
         self._emit(adapter_name, "shed")
 
     def _emit(self, adapter: str, outcome: str) -> None:
+        """Count one verdict as ``gateway_<outcome>{adapter=...}``."""
         hub = self._hub_fn()
         if hub is not None:
-            hub.gateway_event(adapter, outcome)
+            hub.counter(f"gateway_{outcome}", adapter=adapter).inc()
 
     def _sync_gauges(self) -> None:
+        """Publish the dead-letter depth and cumulative replay outcomes."""
         hub = self._hub_fn()
         if hub is not None:
-            hub.dlq_state(
-                len(self.dlq),
-                self.dlq.total_replayed,
-                self.dlq.total_exhausted,
-            )
+            hub.gauge("dlq_depth").set(len(self.dlq))
+            hub.gauge("dlq_replayed").set(self.dlq.total_replayed)
+            hub.gauge("dlq_exhausted").set(self.dlq.total_exhausted)
 
     # -- inspection ------------------------------------------------------------
 
@@ -635,7 +636,7 @@ class IngestionGateway:
         """Inspection summaries of retained DLQ records."""
         return [record.summary() for record in self.dlq.records(state)]
 
-    def snapshot(self) -> Dict[str, Any]:
+    def describe(self) -> Dict[str, Any]:
         """Reflective summary -- what PSL ``describe`` and the report use."""
         return {
             "source": self.source,
@@ -665,6 +666,41 @@ class IngestionGateway:
                 "max_future_s": self.max_future_s,
             },
         }
+
+    @staticmethod
+    def report_lines(described: Dict[str, Any]) -> List[str]:
+        """The report's ``gateway:`` section from :meth:`describe`."""
+        lines = [
+            f"  source={described['source']},"
+            f" formats={described['formats']},"
+            f" policy={described['device_policy']['policy']},"
+            f" devices={described['devices']}",
+            f"  submitted={described['submitted']},"
+            f" accepted={described['accepted']},"
+            f" rejected={described['rejected']},"
+            f" shed={described['shed']},"
+            f" rate_limited={described['rate_limited']},"
+            f" pending={described['pending']}",
+        ]
+        limiter = described["rate_limit"]
+        if limiter is not None:
+            lines.append(
+                f"  rate limit: {fmt(limiter['rate'])}/s"
+                f" (burst {fmt(limiter['burst'])}),"
+                f" devices={limiter['keys']},"
+                f" allowed={limiter['allowed']},"
+                f" limited={limiter['limited']}"
+            )
+        dlq = described["dlq"]
+        lines.append(
+            f"  dlq: depth={dlq['depth']}/{dlq['capacity']}"
+            f" (evicted={dlq['evicted']}),"
+            f" replayed={dlq['total_replayed']},"
+            f" exhausted={dlq['total_exhausted']}"
+        )
+        for stage, count in dlq["by_stage"].items():
+            lines.append(f"    {stage}: {count}")
+        return lines
 
     def close(self) -> None:
         """Stop accepting traffic (pending/DLQ stay inspectable)."""

@@ -41,6 +41,7 @@ from repro.core.channel import ChannelFeature
 from repro.core.data import Datum
 from repro.core.datatree import DataTree
 from repro.core.features import ComponentFeature
+from repro.core.report import fmt
 from repro.observability.metrics import (
     MetricsRegistry,
     default_registry,
@@ -89,19 +90,8 @@ class ObservabilityHub:
         # ``registry.reset()``, so these never need invalidation.
         self._out_counters: Dict[str, Any] = {}
         self._in_instruments: Dict[str, Tuple[Any, Any, Any]] = {}
-        # Ingestion-side memos (scale-out runtime): per-(target, verdict)
-        # offer counters and per-target depth/drop gauges.
-        self._ingestion_counters: Dict[Tuple[str, str], Any] = {}
-        self._ingestion_gauges: Dict[str, Tuple[Any, Any]] = {}
-        # Gateway-edge memos: per-(adapter, outcome) counters plus the
-        # dead-letter-queue gauge triple.
-        self._gateway_counters: Dict[Tuple[str, str], Any] = {}
-        self._dlq_gauges: Optional[Tuple[Any, Any, Any]] = None
-        # Scenario / closed-loop control memos (repro.scenario).
-        self._scenario_gauges: Optional[Tuple[Any, Any, Any]] = None
-        self._geofence_counters: Dict[str, Any] = {}
-        self._controller_counters: Dict[Tuple[str, str], Any] = {}
-        self._ledger_gauge: Any = None
+        # Subsystem instrument memo: see :meth:`counter`.
+        self._instruments: Dict[Tuple[Any, ...], Any] = {}
 
     # -- graph hooks (hot path) --------------------------------------------
 
@@ -186,130 +176,34 @@ class ObservabilityHub:
         finally:
             latency.observe(self._time() - start)
 
-    # -- ingestion hooks (scale-out runtime) -------------------------------
+    # -- subsystem instruments -----------------------------------------------
 
-    def ingestion_event(self, target: str, verdict: str) -> None:
-        """One queue offer settled for ``target`` (accepted/dropped/...)."""
-        counters = self._ingestion_counters
-        counter = counters.get((target, verdict))
-        if counter is None:
-            counter = counters[(target, verdict)] = self.registry.counter(
-                "queue_offers", target=target, verdict=verdict
-            )
-        counter.inc()
+    def counter(self, name: str, **labels: Any) -> Any:
+        """The registry's ``name{labels}`` counter, memoised.
 
-    def ingestion_depth(
-        self, target: str, depth: int, dropped: int
-    ) -> None:
-        """Current queue depth and cumulative drops for ``target``."""
-        gauges = self._ingestion_gauges
-        pair = gauges.get(target)
-        if pair is None:
-            registry = self.registry
-            pair = gauges[target] = (
-                registry.gauge("queue_depth", target=target),
-                registry.gauge("queue_dropped_total", target=target),
-            )
-        pair[0].set(depth)
-        pair[1].set(dropped)
-
-    def gateway_event(self, adapter: str, outcome: str) -> None:
-        """One gateway pipeline verdict settled for ``adapter``.
-
-        ``outcome`` is one of ``accepted`` / ``rejected`` / ``shed`` /
-        ``replayed``; each becomes its own ``gateway_<outcome>`` counter
-        labelled by adapter, which is how per-adapter accept/reject
-        rates surface (ISSUE 8 instrument names).
+        Subsystems (runtime, gateway, durability, scenario, control)
+        record through these three lookups; each metric name lives in
+        the module that emits it.  After the first call per series the
+        lookup is one dict probe instead of the registry's sorted label
+        key, and instrument identity survives ``registry.reset()``.
         """
-        counters = self._gateway_counters
-        counter = counters.get((adapter, outcome))
-        if counter is None:
-            counter = counters[(adapter, outcome)] = self.registry.counter(
-                f"gateway_{outcome}", adapter=adapter
-            )
-        counter.inc()
+        return self._instrument("counter", name, labels)
 
-    def dlq_state(self, depth: int, replayed: int, exhausted: int) -> None:
-        """Current dead-letter depth and cumulative replay outcomes."""
-        gauges = self._dlq_gauges
-        if gauges is None:
-            registry = self.registry
-            gauges = self._dlq_gauges = (
-                registry.gauge("dlq_depth"),
-                registry.gauge("dlq_replayed"),
-                registry.gauge("dlq_exhausted"),
-            )
-        gauges[0].set(depth)
-        gauges[1].set(replayed)
-        gauges[2].set(exhausted)
+    def gauge(self, name: str, **labels: Any) -> Any:
+        """The registry's ``name{labels}`` gauge, memoised like :meth:`counter`."""
+        return self._instrument("gauge", name, labels)
 
-    def scheduler_round(self, drained: int) -> None:
-        """One scheduler round drained ``drained`` datums into the graph."""
-        self.registry.counter("scheduler_rounds").inc()
-        if drained:
-            self.registry.counter("scheduler_drained").inc(drained)
+    def histogram(self, name: str, **labels: Any) -> Any:
+        """The registry's ``name{labels}`` histogram, memoised like :meth:`counter`."""
+        return self._instrument("histogram", name, labels)
 
-    def durability_snapshot(self, n_bytes: int) -> None:
-        """One full state snapshot persisted (``n_bytes`` serialized)."""
-        self.registry.counter("durability_snapshots").inc()
-        self.registry.gauge("snapshot_bytes").set(n_bytes)
-
-    def durability_restore(self, replayed: int) -> None:
-        """One crash-recovery restore replayed ``replayed`` journal entries."""
-        self.registry.counter("durability_restores").inc()
-        if replayed:
-            self.registry.counter("restore_replayed").inc(replayed)
-
-    def durability_migration(self, pause_s: float) -> None:
-        """One warm lane handoff completed with ``pause_s`` of lane pause."""
-        self.registry.counter("migrations_completed").inc()
-        self.registry.histogram("handoff_pause_ticks").observe(pause_s)
-
-    # -- scenario + closed-loop control (repro.scenario) --------------------
-
-    def scenario_tick(self, devices: int, events: int) -> None:
-        """One simulated city tick: population size and emissions."""
-        gauges = self._scenario_gauges
-        if gauges is None:
-            registry = self.registry
-            gauges = self._scenario_gauges = (
-                registry.gauge("scenario_devices"),
-                registry.counter("scenario_ticks"),
-                registry.counter("scenario_events"),
-            )
-        gauges[0].set(devices)
-        gauges[1].inc()
-        if events:
-            gauges[2].inc(events)
-
-    def geofence_alert(self, rule: str) -> None:
-        """One geofence rule raised an alert on the live stream."""
-        counters = self._geofence_counters
-        counter = counters.get(rule)
-        if counter is None:
-            counter = counters[rule] = self.registry.counter(
-                "geofence_alerts", rule=rule
-            )
-        counter.inc()
-
-    def controller_decision(self, controller: str, action: str) -> None:
-        """One closed-loop controller actuated an adaptation seam."""
-        counters = self._controller_counters
-        counter = counters.get((controller, action))
-        if counter is None:
-            counter = counters[(controller, action)] = self.registry.counter(
-                "controller_decisions", controller=controller, action=action
-            )
-        counter.inc()
-
-    def control_ledger_depth(self, depth: int) -> None:
-        """Current depth of the bounded controller decision ledger."""
-        gauge = self._ledger_gauge
-        if gauge is None:
-            gauge = self._ledger_gauge = self.registry.gauge(
-                "control_ledger_depth"
-            )
-        gauge.set(depth)
+    def _instrument(self, kind: str, name: str, labels: Dict[str, Any]) -> Any:
+        key = (kind, name, *labels.items())
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            lookup = getattr(self.registry, kind)
+            instrument = self._instruments[key] = lookup(name, **labels)
+        return instrument
 
     def datum_dropped(
         self, component: Any, port: str, datum: Datum, feature_name: str
@@ -366,7 +260,7 @@ class ObservabilityHub:
             return stats.get(name, {})
         return stats
 
-    def snapshot(self) -> Dict[str, Any]:
+    def describe(self) -> Dict[str, Any]:
         """Full metrics dump plus the per-component roll-up."""
         return {
             "enabled": True,
@@ -374,6 +268,25 @@ class ObservabilityHub:
             "metrics": self.registry.snapshot(),
             "components": self.component_stats(),
         }
+
+    @staticmethod
+    def report_lines(described: Dict[str, Any]) -> List[str]:
+        """The report's ``live metrics:`` section from :meth:`describe`."""
+        lines = []
+        for name, stats in sorted(described["components"].items()):
+            parts = [
+                f"in={stats.get('items_in', 0)}",
+                f"out={stats.get('items_out', 0)}",
+            ]
+            if stats.get("items_dropped"):
+                parts.append(f"dropped={stats['items_dropped']}")
+            if stats.get("errors"):
+                parts.append(f"errors={stats['errors']}")
+            latency = stats.get("latency")
+            if latency and latency["count"]:
+                parts.append(f"mean_latency_s={fmt(latency['mean'])}")
+            lines.append(f"  {name}: " + ", ".join(parts))
+        return lines
 
     def reset(self) -> None:
         """Zero all metrics (traces on in-flight datums are untouched)."""

@@ -452,7 +452,7 @@ class Supervisor:
             return list(self._records)
         return [r for r in self._records if r.component == name]
 
-    def snapshot(self) -> Dict[str, Any]:
+    def describe(self) -> Dict[str, Any]:
         """Structured state for reports and ``infrastructure_snapshot``."""
         return {
             "policy": {
@@ -472,6 +472,26 @@ class Supervisor:
             },
             "records": [r.as_dict() for r in self._records],
         }
+
+    @staticmethod
+    def report_lines(described: Dict[str, Any]) -> List[str]:
+        """The report's ``supervision:`` section from :meth:`describe`."""
+        lines = [f"  policy: {described['policy']['mode']}"]
+        if not described["components"]:
+            lines.append("  all components healthy")
+        for name, state in sorted(described["components"].items()):
+            lines.append(
+                f"  {name}: {state['health']}"
+                f" (failures={state['failures']},"
+                f" skipped={state['skipped']}, trips={state['trips']})"
+            )
+        for record in described["records"][-5:]:
+            lines.append(
+                f"    ! failure #{record['seq']} {record['component']}"
+                f".{record['port']}: {record['error_type']}:"
+                f" {record['message']}"
+            )
+        return lines
 
     # -- durability ---------------------------------------------------------
 

@@ -18,8 +18,9 @@ crosses ``source.inject_batch`` -- route resolution amortised per batch,
 per-route FIFO order preserved, supervision/observability semantics
 intact (see :meth:`~repro.core.graph.ProcessingGraph.route_batch`).
 
-The engine is itself translucent: ``graph.set_engine`` makes lane
-policies, depths, and drop counters reachable from
+The engine is itself translucent: it installs itself as the graph's
+``runtime`` subsystem, which makes lane policies, depths, and drop
+counters reachable from
 ``psl.describe()`` / ``psl.ingestion_lanes()``, adaptable via
 ``psl.set_backpressure()``, visible in the infrastructure report, and
 exported as hub gauges (``queue_depth{target=...}``) while
@@ -40,6 +41,7 @@ from typing import (
 
 from repro.core.component import SourceComponent
 from repro.core.data import Datum
+from repro.core.report import fmt
 from repro.runtime.queues import DROP_OLDEST, IngestionQueue
 from repro.runtime.scheduler import FairScheduler, RoundRobinScheduler
 
@@ -98,8 +100,9 @@ class PositioningEngine:
     Parameters
     ----------
     graph:
-        The shared processing graph; the engine registers itself via
-        ``graph.set_engine`` so the PSL and report can reach it.
+        The shared processing graph; the engine installs itself as
+        ``graph.subsystems["runtime"]`` so the PSL and report can reach
+        it.
     clock:
         Simulation clock for :meth:`start`'s periodic drain rounds.
         Optional -- :meth:`drain_round` / :meth:`drain_all` work
@@ -130,7 +133,7 @@ class PositioningEngine:
         self.drained_total = 0
         #: Times :meth:`drain_all` exhausted ``max_rounds`` with datums
         #: still pending; ``last_drain_truncated`` latches until the
-        #: next *successful* drain.  Surfaced by :meth:`snapshot` so a
+        #: next *successful* drain.  Surfaced by :meth:`describe` so a
         #: coordinator never mistakes truncation for quiescence.
         self.truncations = 0
         self.last_drain_truncated = False
@@ -139,7 +142,7 @@ class PositioningEngine:
         #: While attached, every mutation (track/untrack/submit/drain/
         #: policy change) appends one store entry for crash replay.
         self.journal: Optional["DurabilityJournal"] = None
-        graph.set_engine(self)
+        graph.subsystems["runtime"] = self
 
     # -- lane management -----------------------------------------------------
 
@@ -244,8 +247,8 @@ class PositioningEngine:
             self.journal.record_submit(target_id, datum)
         hub = self.graph.instrumentation
         if hub is not None:
-            hub.ingestion_event(target_id, verdict)
-            hub.ingestion_depth(target_id, lane.queue.depth, lane.queue.dropped)
+            hub.counter("queue_offers", target=target_id, verdict=verdict).inc()
+            _export_depth(hub, lane)
         return verdict
 
     # -- scheduling (consumer side) ------------------------------------------
@@ -274,13 +277,7 @@ class PositioningEngine:
         self.drained_total += total
         if journal is not None and lane_counts:
             journal.record_drain(lane_counts)
-        hub = self.graph.instrumentation
-        if hub is not None:
-            hub.scheduler_round(total)
-            for lane in self._lane_list:
-                hub.ingestion_depth(
-                    lane.target_id, lane.queue.depth, lane.queue.dropped
-                )
+        self._export_round(total)
         return total
 
     def replay_round(self, lane_counts: List[Any]) -> int:
@@ -310,14 +307,17 @@ class PositioningEngine:
             total += len(batch)
         self.rounds += 1
         self.drained_total += total
+        self._export_round(total)
+        return total
+
+    def _export_round(self, total: int) -> None:
         hub = self.graph.instrumentation
         if hub is not None:
-            hub.scheduler_round(total)
+            hub.counter("scheduler_rounds").inc()
+            if total:
+                hub.counter("scheduler_drained").inc(total)
             for lane in self._lane_list:
-                hub.ingestion_depth(
-                    lane.target_id, lane.queue.depth, lane.queue.dropped
-                )
-        return total
+                _export_depth(hub, lane)
 
     def drain_all(self, max_rounds: int = 1000) -> int:
         """Run rounds until every queue is empty; returns datums routed.
@@ -326,7 +326,7 @@ class PositioningEngine:
         (or a producer submitting from inside the graph).  Exhausting it
         with datums still pending is *truncation*, not quiescence: the
         ``truncations`` counter and the ``last_drain_truncated`` latch
-        are set (both surfaced by :meth:`snapshot`), then
+        are set (both surfaced by :meth:`describe`), then
         :class:`EngineError` is raised carrying the pending depth -- a
         caller that swallows the exception still cannot mistake the
         engine for drained.
@@ -452,7 +452,7 @@ class PositioningEngine:
         from repro.durability.manager import restore_from_store
 
         return restore_from_store(
-            self.graph, self, store, gateway=self.graph.gateway
+            self.graph, self, store, gateway=self.graph.subsystems.get("gateway")
         )
 
     # -- inspection ------------------------------------------------------------
@@ -461,7 +461,7 @@ class PositioningEngine:
         """Datums currently pending across all lanes."""
         return sum(lane.queue.depth for lane in self._lane_list)
 
-    def snapshot(self) -> Dict[str, Any]:
+    def describe(self) -> Dict[str, Any]:
         """Full reflective summary for the infrastructure report."""
         return {
             "scheduler": self.scheduler.describe(),
@@ -475,3 +475,38 @@ class PositioningEngine:
                 lane.target_id: lane.stats() for lane in self._lane_list
             },
         }
+
+    @staticmethod
+    def report_lines(described: Dict[str, Any]) -> List[str]:
+        """The report's ``ingestion:`` section from :meth:`describe`."""
+        scheduler = described["scheduler"]
+        detail = ", ".join(
+            f"{key}={fmt(value)}"
+            for key, value in sorted(scheduler.items())
+            if key != "type"
+        )
+        head = f"  scheduler: {scheduler['type']}"
+        if detail:
+            head += f" ({detail})"
+        lines = [
+            f"{head}; rounds={described['rounds']},"
+            f" drained={described['drained_total']},"
+            f" pending={described['pending']}"
+        ]
+        for target_id, lane in sorted(described["lanes"].items()):
+            dropped = lane["dropped_oldest"] + lane["dropped_newest"]
+            lines.append(
+                f"  {target_id} @{lane['source']}: {lane['policy']}"
+                f" depth={lane['depth']}/{lane['capacity']}"
+                f" (hw={lane['high_water']}),"
+                f" accepted={lane['accepted']}, dropped={dropped},"
+                f" rejected={lane['rejected']},"
+                f" coalesced={lane['coalesced']}"
+            )
+        return lines
+
+
+def _export_depth(hub: Any, lane: TargetLane) -> None:
+    """Publish one lane's current depth and cumulative drops."""
+    hub.gauge("queue_depth", target=lane.target_id).set(lane.queue.depth)
+    hub.gauge("queue_dropped_total", target=lane.target_id).set(lane.queue.dropped)

@@ -233,7 +233,7 @@ class _ShardBase(abc.ABC):
         """Install a lane exported from another shard, state intact."""
 
     @abc.abstractmethod
-    def snapshot(self) -> Dict[str, Any]: ...
+    def describe(self) -> Dict[str, Any]: ...
 
     @abc.abstractmethod
     def component_health(self) -> Dict[str, str]: ...
@@ -338,8 +338,8 @@ class InProcessShard(_ShardBase):
     def install_lane(self, payload: Dict[str, Any]) -> None:
         self.engine.install_lane(payload)
 
-    def snapshot(self) -> Dict[str, Any]:
-        return self.engine.snapshot()
+    def describe(self) -> Dict[str, Any]:
+        return self.engine.describe()
 
     def component_health(self) -> Dict[str, str]:
         supervisor = self.graph.supervisor
@@ -368,7 +368,7 @@ def _shard_worker(
 
     Every request is answered with ``("ok", result)`` or ``("error",
     "Type: message")`` -- exceptions never kill the worker, so a shard
-    that failed a drain still answers snapshot/health requests, which is
+    that failed a drain still answers describe/health requests, which is
     what keeps degraded shards inspectable.
     """
     try:
@@ -420,8 +420,8 @@ def _shard_worker(
                 result = engine.drain_round()
             elif op == "drain_all":
                 result = engine.drain_all(*args)
-            elif op == "snapshot":
-                result = engine.snapshot()
+            elif op == "describe":
+                result = engine.describe()
             elif op == "component_health":
                 supervisor = graph.supervisor
                 result = supervisor.health_states() if supervisor is not None else {}
@@ -559,8 +559,8 @@ class ProcessShard(_ShardBase):
     def install_lane(self, payload: Dict[str, Any]) -> None:
         self._call("install_lane", payload)
 
-    def snapshot(self) -> Dict[str, Any]:
-        return self._call("snapshot")
+    def describe(self) -> Dict[str, Any]:
+        return self._call("describe")
 
     def component_health(self) -> Dict[str, str]:
         return self._call("component_health")
@@ -1018,8 +1018,8 @@ class ShardedEngine:
 
         Per-shard truncation (an engine exhausting ``max_rounds`` with
         datums pending) is *not* quiescence: the shard is marked
-        degraded with the truncation error and its engine snapshot
-        keeps ``last_drain_truncated`` set, so the merged snapshot's
+        degraded with the truncation error and its engine ``describe()``
+        keeps ``last_drain_truncated`` set, so the merged :meth:`describe`
         ``truncated`` list names it even though surviving shards
         finished cleanly.
         """
@@ -1064,7 +1064,7 @@ class ShardedEngine:
         """
         merged: Dict[str, Dict[str, Any]] = {}
         for shard, snap in zip(
-            self._shards, self._per_shard(lambda s: s.snapshot(), {})
+            self._shards, self._per_shard(lambda s: s.describe(), {})
         ):
             for target_id, stats in snap.get("lanes", {}).items():
                 stats = dict(stats)
@@ -1077,7 +1077,7 @@ class ShardedEngine:
 
         Shards are structural twins, so component names line up; a
         component ``open`` on any shard reports ``open`` here.  Per
-        shard detail lives in :meth:`snapshot`.
+        shard detail lives in :meth:`describe`.
         """
         merged: Dict[str, str] = {}
         for states in self._per_shard(lambda s: s.component_health(), {}):
@@ -1109,16 +1109,16 @@ class ShardedEngine:
         """Datums pending across all shards (degraded ones included)."""
         return sum(
             snap.get("pending", 0)
-            for snap in self._per_shard(lambda s: s.snapshot(), {})
+            for snap in self._per_shard(lambda s: s.describe(), {})
         )
 
-    def snapshot(self) -> Dict[str, Any]:
+    def describe(self) -> Dict[str, Any]:
         """Merged reflective summary: the coordinator's report surface."""
         per_shard = []
         truncated: List[int] = []
         pending = 0
         for shard, engine_snap in zip(
-            self._shards, self._per_shard(lambda s: s.snapshot(), None)
+            self._shards, self._per_shard(lambda s: s.describe(), None)
         ):
             entry: Dict[str, Any] = {
                 "shard": shard.shard_id,
@@ -1149,3 +1149,31 @@ class ShardedEngine:
             "migrations": self.migrations(),
             "per_shard": per_shard,
         }
+
+    @staticmethod
+    def report_lines(described: Dict[str, Any]) -> List[str]:
+        """The report's ``sharding:`` section from :meth:`describe`."""
+        lines = [
+            f"  {described['shards']} shards ({described['executor']}),"
+            f" placement={described['placement']['type']};"
+            f" targets={described['targets']},"
+            f" rounds={described['rounds']},"
+            f" drained={described['drained_total']},"
+            f" pending={described['pending']}"
+        ]
+        for entry in described["per_shard"]:
+            engine = entry["engine"]
+            if engine is None:
+                detail = "(unreadable)"
+            else:
+                detail = (
+                    f"lanes={len(engine['lanes'])},"
+                    f" drained={engine['drained_total']},"
+                    f" pending={engine['pending']}"
+                )
+                if engine["last_drain_truncated"]:
+                    detail += " TRUNCATED"
+            lines.append(f"  shard {entry['shard']}: {entry['status']}, {detail}")
+            if entry["error"]:
+                lines.append(f"    ! {entry['error']}")
+        return lines

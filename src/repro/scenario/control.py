@@ -466,11 +466,15 @@ class ControlLoop:
                 self.decisions_total += 1
                 recorded.append(record)
                 if hub is not None:
-                    hub.controller_decision(controller.name, record["action"])
+                    hub.counter(
+                        "controller_decisions",
+                        controller=controller.name,
+                        action=record["action"],
+                    ).inc()
         if len(self._ledger) > self._ledger_limit:
             del self._ledger[: len(self._ledger) - self._ledger_limit]
         if hub is not None:
-            hub.control_ledger_depth(len(self._ledger))
+            hub.gauge("control_ledger_depth").set(len(self._ledger))
         return recorded
 
     # -- inspection ---------------------------------------------------------
@@ -479,7 +483,7 @@ class ControlLoop:
         """The bounded decision ledger, newest last (a copy)."""
         return [dict(record) for record in self._ledger]
 
-    def snapshot(self) -> Dict[str, Any]:
+    def describe(self) -> Dict[str, Any]:
         """Reflective summary for PSL / the report."""
         return {
             "controllers": [c.describe() for c in self.controllers],
@@ -489,6 +493,23 @@ class ControlLoop:
             "ledger_limit": self._ledger_limit,
             "recent": [dict(r) for r in self._ledger[-5:]],
         }
+
+    @staticmethod
+    def report_lines(described: Dict[str, Any]) -> List[str]:
+        """The report's ``control:`` section from :meth:`describe`."""
+        names = ", ".join(c["name"] for c in described["controllers"]) or "-"
+        lines = [
+            f"  controllers=[{names}],"
+            f" decisions={described['decisions_total']},"
+            f" ledger={described['ledger_depth']}/{described['ledger_limit']}"
+        ]
+        for record in described["recent"]:
+            target = f" {record['target']}" if record.get("target") else ""
+            lines.append(
+                f"    t={record['tick']} {record['controller']}:"
+                f" {record['action']}{target} ({record['reason']})"
+            )
+        return lines
 
 
 def default_controllers(

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Optional
 
+from repro.core.report import fmt
 from repro.runtime.queues import DROP_OLDEST
 
 from .city import ALERT_KIND, CityGenerator, ScenarioError
@@ -157,7 +158,7 @@ class ScenarioRunner:
             "generator": self.generator.snapshot(),
         }
         if self.supervisor is not None:
-            view["supervisor"] = self.supervisor.snapshot()
+            view["supervisor"] = self.supervisor.describe()
         if self._sharded:
             shards: Dict[int, int] = {
                 shard_id: 0 for shard_id in range(self.engine.shard_count)
@@ -218,10 +219,11 @@ class ScenarioRunner:
         )
         if self.control is not None:
             self.control.step(view, self._actuators, self.hub)
-        if self.hub is not None:
-            self.hub.scenario_tick(
-                view["generator"]["devices"], len(batch.events)
-            )
+        hub = self.hub
+        if hub is not None:
+            hub.gauge("scenario_devices").set(view["generator"]["devices"])
+            hub.counter("scenario_ticks").inc()
+            hub.counter("scenario_events").inc(len(batch.events))
         self.ticks_run += 1
         return view
 
@@ -238,7 +240,7 @@ class ScenarioRunner:
             self.drained += self.engine.drain_round()
         if self.hub is not None:
             for payload in self.alert_payloads():
-                self.hub.geofence_alert(payload[0])
+                self.hub.counter("geofence_alerts", rule=payload[0]).inc()
         return self.result()
 
     def _pending(self) -> int:
@@ -312,7 +314,7 @@ class ScenarioRunner:
             return []
         return self.control.ledger()
 
-    def snapshot(self) -> Dict[str, Any]:
+    def describe(self) -> Dict[str, Any]:
         """Reflective summary for ``psl.scenario()`` and the report."""
         return {
             "sharded": self._sharded,
@@ -330,3 +332,25 @@ class ScenarioRunner:
                 "verdicts": dict(self.verdicts),
             },
         }
+
+    @staticmethod
+    def report_lines(described: Dict[str, Any]) -> List[str]:
+        """The report's ``scenario:`` section from :meth:`describe`."""
+        generator = described["generator"]
+        progress = described["progress"]
+        loop = "closed" if described["closed_loop"] else "open"
+        return [
+            f"  seed={generator['seed']}, devices={generator['devices']}"
+            f" (joined={generator['joined_total']},"
+            f" left={generator['left_total']}),"
+            f" loop={loop}",
+            f"  ticks={progress['ticks']},"
+            f" submitted={progress['submitted']},"
+            f" drained={progress['drained']},"
+            f" pending={progress['pending']},"
+            f" high_water={progress['high_water']}",
+            f"  suppressed_fixes={generator['suppressed_total']},"
+            f" zone_lost={generator['zone_lost_total']},"
+            f" burst_extra={generator['burst_extra_total']},"
+            f" gps_threshold_m={fmt(generator['gps_threshold_m'])}",
+        ]

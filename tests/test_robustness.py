@@ -317,7 +317,7 @@ class TestCircuitBreaker:
         source.inject(Datum("x", 1, 0.0))
         clock.advance(30.0)
         source.inject(Datum("x", 2, 1.0))  # probe fails -> second trip
-        snapshot = supervisor.snapshot()
+        snapshot = supervisor.describe()
         assert snapshot["policy"]["mode"] == QUARANTINE
         assert snapshot["components"]["bomb"]["trips"] == 2
         assert snapshot["components"]["bomb"]["health"] == OPEN

@@ -321,7 +321,7 @@ class TestEngine:
 
     def test_drain_all_truncation_raises_and_latches(self):
         # max_rounds exhaustion is truncation, not quiescence: a
-        # coordinator reading snapshot() must be able to tell them
+        # coordinator reading describe() must be able to tell them
         # apart even if the EngineError was swallowed en route.
         graph, _, _ = build_graph()
         engine = PositioningEngine(graph, scheduler=RoundRobinScheduler(quantum=1))
@@ -330,13 +330,13 @@ class TestEngine:
             engine.submit("t1", datum(i))
         with pytest.raises(EngineError, match="3 datums still pending"):
             engine.drain_all(max_rounds=2)
-        snap = engine.snapshot()
+        snap = engine.describe()
         assert snap["truncations"] == 1
         assert snap["last_drain_truncated"] is True
         assert snap["pending"] == 3
         # A clean drain clears the latch; the counter keeps history.
         assert engine.drain_all() == 3
-        snap = engine.snapshot()
+        snap = engine.describe()
         assert snap["truncations"] == 1
         assert snap["last_drain_truncated"] is False
 
@@ -350,7 +350,7 @@ class TestEngine:
         engine.submit("t1", datum(0))
         engine.submit("t1", datum(1))
         assert engine.drain_all(max_rounds=2) == 2
-        snap = engine.snapshot()
+        snap = engine.describe()
         assert snap["truncations"] == 0
         assert snap["last_drain_truncated"] is False
         assert payloads(sink.received) == [0, 1]
@@ -361,7 +361,7 @@ class TestEngine:
         engine.track("t1", "src")
         engine.submit("t1", datum(1))
         assert engine.drain_all() == 1
-        snap = engine.snapshot()
+        snap = engine.describe()
         assert snap["truncations"] == 0
         assert snap["last_drain_truncated"] is False
 
@@ -476,7 +476,7 @@ class TestEngine:
         engine.track("t1", "src", weight=2)
         engine.submit("t1", datum(1))
         engine.drain_round()
-        snapshot = engine.snapshot()
+        snapshot = engine.describe()
         assert snapshot["rounds"] == 1
         assert snapshot["drained_total"] == 1
         assert snapshot["pending"] == 0
@@ -541,10 +541,6 @@ class TestRuntimeVisibility:
         engine = mw.enable_runtime()
         assert mw.runtime is engine
         assert engine.clock is mw.clock
-        assert (
-            mw.framework.registry.find_service("perpos.PositioningEngine")
-            is not None
-        )
         assert mw.disable_runtime() is engine
         assert mw.runtime is None
 

@@ -559,7 +559,7 @@ class TestControlLoop:
     def test_snapshot_reports_counts_and_recent(self):
         loop = ControlLoop([SamplingController()])
         loop.step({"tick": 0, "dropped_total": 5}, RecordingActuators())
-        snapshot = loop.snapshot()
+        snapshot = loop.describe()
         assert snapshot["decisions_total"] == 1
         assert snapshot["by_controller"] == {"sampling": 1}
         assert snapshot["ledger_depth"] == 1
@@ -713,7 +713,7 @@ class TestScenarioRunner:
     def test_snapshot_shape(self):
         runner = small_runner(closed=True)
         runner.run(10)
-        snapshot = runner.snapshot()
+        snapshot = runner.describe()
         assert snapshot["sharded"] is False
         assert snapshot["closed_loop"] is True
         assert snapshot["capacity"] == 4
@@ -753,15 +753,6 @@ class TestMiddlewareSurfaces:
         assert pp.psl.controllers() == {}
         assert pp.psl.decision_ledger() == []
         assert "(no scenario installed)" in render_report(pp)
-
-    def test_scenario_runner_is_registered_service(self):
-        pp = PerPos()
-        runner = small_runner(closed=False)
-        pp.enable_scenario(runner)
-        registry = pp.framework.registry
-        assert registry.find_service("perpos.ScenarioRunner") is runner
-        pp.disable_scenario()
-        assert registry.find_service("perpos.ScenarioRunner") is None
 
     def test_hub_counters_track_the_run(self):
         hub = ObservabilityHub(time_fn=lambda: 0.0)

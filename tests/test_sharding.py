@@ -319,7 +319,7 @@ class TestShardedEngineBasics:
         with ShardedEngine(recipe, 2) as engine:
             fill(engine, targets=4, per_target=2)
             engine.drain_all()
-            snap = engine.snapshot()
+            snap = engine.describe()
             assert snap["executor"] == "inprocess"
             assert snap["shards"] == 2
             assert snap["placement"]["type"] == "ConsistentHashPlacement"
@@ -339,11 +339,11 @@ class TestShardedEngineBasics:
         with ShardedEngine(recipe, 2, clock=clock) as engine:
             n = fill(engine, targets=4, per_target=3)
             engine.start(1.0)
-            assert engine.snapshot()["running"]
+            assert engine.describe()["running"]
             clock.run_until(5.0)
             assert engine.drained_total == n
             engine.stop()
-            assert not engine.snapshot()["running"]
+            assert not engine.describe()["running"]
 
     def test_start_requires_a_clock(self):
         with ShardedEngine(recipe, 2) as engine:
@@ -471,7 +471,7 @@ class TestShardFailureContainment:
             drained = engine.drain_all(max_rounds=2)
             assert drained == 1  # only the fast shard finished
             assert engine.degraded() == [0]
-            snap = engine.snapshot()
+            snap = engine.describe()
             assert snap["truncated"] == [0]
             assert snap["pending"] == 3
             assert "not drained" in engine.shard(0).error
@@ -513,7 +513,7 @@ class TestShardFailureContainment:
             engine.submit("t0", datum(1))
             assert engine.drain_all(max_rounds=2) == 2
             assert engine.degraded() == []
-            assert engine.snapshot()["truncated"] == []
+            assert engine.describe()["truncated"] == []
 
     def test_per_shard_supervision_quarantines_inside_the_shard(self):
         policy = SupervisionPolicy(
@@ -623,22 +623,6 @@ class TestMiddlewareIntegration:
         assert middleware.sharding is second
         middleware.disable_sharding()
 
-    def test_registry_tracks_the_live_coordinator(self):
-        # Re-enabling must re-register: a stale registration would hand
-        # registry consumers the previous, now-closed coordinator.
-        middleware = PerPos()
-        registry = middleware.framework.registry
-        first = middleware.enable_sharding(recipe, 2)
-        second = middleware.enable_sharding(recipe, 3)
-        assert registry.find_service("perpos.ShardedEngine") is second
-        assert first is not second
-        middleware.disable_sharding()
-        assert registry.find_service("perpos.ShardedEngine") is None
-        third = middleware.enable_sharding(recipe, 2)
-        assert registry.find_service("perpos.ShardedEngine") is third
-        middleware.disable_sharding()
-        assert registry.find_service("perpos.ShardedEngine") is None
-
     def test_report_without_sharding(self):
         middleware = PerPos()
         assert infrastructure_snapshot(middleware)["sharding"] is None
@@ -699,7 +683,7 @@ class TestMultiprocessingExecutor:
             assert engine.merged_component_stats()["app"]["items_in"] == 4
             lanes = engine.ingestion_lanes()
             assert set(lanes) == {f"t{t}" for t in range(4)}
-            snap = engine.snapshot()
+            snap = engine.describe()
             assert snap["executor"] == "multiprocessing"
             assert snap["pending"] == 0
 
@@ -715,7 +699,7 @@ class TestMultiprocessingExecutor:
             assert engine.degraded() == [0]
             assert "ValueError" in engine.shard(0).error
             # The worker survived its exception: still inspectable.
-            assert engine.shard(0).snapshot()["pending"] == 0
+            assert engine.shard(0).describe()["pending"] == 0
 
     def test_set_policy_and_untrack_remotely(self):
         with ShardedEngine(
@@ -803,10 +787,10 @@ def test_engine_error_truncation_only_on_exhaustion():
         engine.drain_all(max_rounds=2)
     assert engine.last_drain_truncated
     assert engine.truncations == 1
-    assert engine.snapshot()["last_drain_truncated"]
+    assert engine.describe()["last_drain_truncated"]
     engine.drain_all()
     assert not engine.last_drain_truncated
-    assert engine.snapshot()["truncations"] == 1
+    assert engine.describe()["truncations"] == 1
 
 
 class _AllToShard(PlacementPolicy):
